@@ -21,21 +21,11 @@ let pack members =
     members;
   Buffer.contents buf
 
-(* The exact byte length [pack] would produce, without producing it. *)
-let packed_size members =
-  List.fold_left
-    (fun acc (name, contents) ->
-      let nlen = String.length name and clen = String.length contents in
-      acc
-      + String.length (string_of_int nlen)
-      + String.length (string_of_int clen)
-      + 2 (* ' ' and '\n' *) + nlen + clen)
-    0 members
-
 (* The Adler-32 of [pack members], streamed member by member: the
-   multi-megabyte archive string is never allocated.  This is what lets
-   a delta push skip the client-side full pack (the EXEC confirm only
-   needs the checksum). *)
+   multi-megabyte archive string is never allocated.  The plain-string
+   reference for [checksum_docs], which is what lets a delta push skip
+   the client-side full pack (the EXEC confirm only needs the
+   checksum). *)
 let checksum members =
   let st = Checksum.stream_start () in
   List.iter
@@ -118,37 +108,3 @@ let unpack archive =
           | _ -> Error "tar: bad header")
   in
   go 0 []
-
-(* Unpack memo keyed on the archive string's physical identity.  The
-   spool and the update protocol pass whole archive strings around by
-   reference (Vfs stores them unflattened), so the same heap string is
-   unpacked repeatedly — once to serve the manifest, once to verify the
-   delta, once to install.  A tiny MRU of recent archives makes the
-   repeats O(1); a copy of the bytes simply misses and pays the scan. *)
-let unpack_memo : (string * (string * string) list) list ref = ref []
-let unpack_memo_cap = 8
-
-let rec memo_take n = function
-  | x :: tl when n > 0 -> x :: memo_take (n - 1) tl
-  | _ -> []
-
-let prime_unpack archive members =
-  unpack_memo :=
-    (archive, members)
-    :: memo_take (unpack_memo_cap - 1)
-         (List.filter (fun (a, _) -> a != archive) !unpack_memo)
-
-let unpack_cached archive =
-  match List.find_opt (fun (a, _) -> a == archive) !unpack_memo with
-  | Some (_, members) -> Ok members
-  | None -> (
-      match unpack archive with
-      | Error _ as e -> e
-      | Ok members ->
-          prime_unpack archive members;
-          Ok members)
-
-let member archive name =
-  match unpack archive with
-  | Ok members -> List.assoc_opt name members
-  | Error _ -> None

@@ -6,21 +6,17 @@
 val pack : (string * string) list -> string
 (** Archive a list of (name, contents) members. *)
 
-val packed_size : (string * string) list -> int
-(** [String.length (pack members)], computed without packing. *)
-
 val checksum : (string * string) list -> int
 (** [Checksum.adler32 (pack members)], streamed member by member — the
-    archive is never materialized.  Lets {!Update.push} run the whole
-    manifest/delta exchange (and the EXEC confirm, which only carries
-    the checksum) without a client-side full pack. *)
+    archive is never materialized.  The plain-string reference for
+    {!checksum_docs}. *)
 
 val pack_docs : (string * Sink.doc) list -> string
 (** As {!pack} over chunked documents — one materialization, into a
     pre-sized buffer; the members themselves are never flattened. *)
 
 val packed_size_docs : (string * Sink.doc) list -> int
-(** As {!packed_size} over chunked documents. *)
+(** [String.length (pack_docs members)], computed without packing. *)
 
 val checksum_docs : (string * Sink.doc) list -> int
 (** As {!checksum} over chunked documents: neither the members nor the
@@ -28,21 +24,3 @@ val checksum_docs : (string * Sink.doc) list -> int
 
 val unpack : string -> ((string * string) list, string) result
 (** Recover the members; [Error] describes the corruption. *)
-
-val unpack_cached : string -> ((string * string) list, string) result
-(** As {!unpack}, memoized on the archive string's physical identity
-    (a small MRU).  The update protocol and the spool hand the same
-    heap string to several consumers per cycle; this makes every
-    unpack after the first O(1).  Callers must not mutate the returned
-    member list's strings (they are shared). *)
-
-val prime_unpack : string -> (string * string) list -> unit
-(** Seed the {!unpack_cached} memo: a producer that just packed
-    [members] into [archive] records the association so consumers never
-    pay the first scan.  [members] must be exactly what {!unpack} would
-    return. *)
-
-val member : string -> string -> string option
-(** [member archive name] extracts one member without unpacking the rest
-    — the staged extraction of the execution phase ("only the ones that
-    are needed are extracted one at a time"). *)

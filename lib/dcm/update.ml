@@ -18,7 +18,6 @@ let op_slug op =
 
 let service_name = "moira_update"
 let staged_suffix = ".moira_update"
-let last_suffix = ".last"
 let last_dir_suffix = ".last.d"
 let script_staging = "/tmp/moira_inst"
 
@@ -37,16 +36,20 @@ let delta_blob data =
     (String.length delta_marker)
     (String.length data - String.length delta_marker)
 
-type script = staged:string -> (unit, string) result
+type script =
+  staged:string -> members:(string * string) list -> (unit, string) result
 
 (* Per-target digest of the last installed members.  [be_token] is the
-   physical string the durable base was read from — the legacy
-   [target ^ ".last"] archive, the [_index] of the member-grain
-   [target ^ ".last.d"] directory, or a just-transferred archive: Vfs
-   hands stored strings back by reference, so pointer comparisons tell
-   us the cached member list and per-member checksums are current, and
-   the manifest / delta-verify ops run in O(members + changed bytes)
-   instead of re-scanning every member every cycle. *)
+   physical string the durable base was read from — the [_index] of the
+   member-grain [target ^ ".last.d"] directory, or a just-transferred
+   archive: Vfs hands stored strings back by reference, so pointer
+   comparisons tell us the cached member list and per-member checksums
+   are current, and the manifest / delta-verify ops run in
+   O(members + changed bytes) instead of re-scanning every member every
+   cycle.  It earns its place: with its lookups disabled, e2ebench
+   [campus_day] [ops_per_probe] fell to 7.74-8.24 from 9.25-9.79, and
+   with a single decode per push to 8.75-9.23 from 10.05-10.65 (seeds
+   1-3, 2-vCPU VM; EXPERIMENTS.md, "Push stack"). *)
 type base_entry = {
   be_token : string;
   be_members : (string * string * int) list;  (* name, contents, adler *)
@@ -58,16 +61,12 @@ type server = {
   obs : Obs.t;  (* span lane for this serving host *)
   scripts : (string, script) Hashtbl.t;
   base_cache : (string, base_entry) Hashtbl.t;  (* keyed by target *)
-  (* delta reconstructions awaiting exec, keyed by target; validated
-     against the staged string by pointer *)
-  delta_cache : (string, string * (string * string * int) list) Hashtbl.t;
 }
 
 let reply code tuples =
   Gdb.Wire.encode_reply
     { Gdb.Wire.rversion = Gdb.Wire.protocol_version; code; tuples }
 
-let member_cksum contents = Checksum.to_hex (Checksum.adler32 contents)
 let doc_cksum contents = Checksum.to_hex (Checksum.adler32_doc contents)
 
 (* A member delta: 'K' keep the base member verbatim, 'F' full new
@@ -82,7 +81,9 @@ let patch_encode ~base contents =
   Printf.sprintf "P%d %d %s\n%s" p s (doc_cksum base)
     (Sink.sub contents p (lc - p - s))
 
-let patch_apply ~base enc =
+(* [base_ck] is the base member's Adler-32, which the server already
+   holds, so applying a patch scans only the new member. *)
+let patch_apply ~base ~base_ck enc =
   match String.index_opt enc '\n' with
   | None -> Error "malformed patch"
   | Some nl -> (
@@ -94,69 +95,66 @@ let patch_apply ~base enc =
           | Some p, Some s
             when p >= 0 && s >= 0
                  && p + s <= String.length base
-                 && member_cksum base = bck ->
+                 && Checksum.to_hex base_ck = bck ->
               Ok
                 (String.sub base 0 p ^ middle
                 ^ String.sub base (String.length base - s) s)
           | _ -> Error "patch base mismatch")
       | _ -> Error "malformed patch")
 
+(* Rebuild the (name, contents, adler) list a member delta describes
+   against the base members.  Kept members share the base member's
+   string and checksum physically, so only changed members' bytes are
+   materialized or scanned. *)
 let decode_delta ~base entries =
+  let base_member name =
+    match List.find_opt (fun (n, _, _) -> n = name) base with
+    | Some (_, c, ck) -> Ok (c, ck)
+    | None -> Error ("no base member " ^ name)
+  in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | (name, enc) :: rest -> (
+        let changed c = go ((name, c, Checksum.adler32 c) :: acc) rest in
         if String.length enc = 0 then Error ("empty delta entry " ^ name)
         else
-          let base_member () =
-            match List.assoc_opt name base with
-            | Some c -> Ok c
-            | None -> Error ("no base member " ^ name)
-          in
           match enc.[0] with
           | 'K' -> (
-              match base_member () with
-              | Ok c -> go ((name, c) :: acc) rest
+              match base_member name with
+              | Ok (c, ck) -> go ((name, c, ck) :: acc) rest
               | Error e -> Error e)
-          | 'F' ->
-              go ((name, String.sub enc 1 (String.length enc - 1)) :: acc)
-                rest
+          | 'F' -> changed (String.sub enc 1 (String.length enc - 1))
           | 'P' -> (
-              match base_member () with
+              match base_member name with
               | Error e -> Error e
-              | Ok b -> (
-                  match patch_apply ~base:b enc with
-                  | Ok c -> go ((name, c) :: acc) rest
+              | Ok (base, base_ck) -> (
+                  match patch_apply ~base ~base_ck enc with
+                  | Ok c -> changed c
                   | Error e -> Error (e ^ " for " ^ name)))
           | _ -> Error ("bad delta entry " ^ name))
   in
   go [] entries
 
-(* The durable base members, without checksums.  A legacy single-file
-   [.last] archive (also how a corrupt operator-written base surfaces)
-   takes precedence; the steady state is the member-grain [.last.d]
-   directory, whose [_index] names the members. *)
+let with_adlers = List.map (fun (n, c) -> (n, c, Checksum.adler32 c))
+
+(* The durable base members, without checksums: the member-grain
+   [.last.d] directory, whose [_index] names the members. *)
 let read_base_plain fs target =
-  match Netsim.Vfs.read fs ~path:(target ^ last_suffix) with
-  | Some archive -> (
-      match Tarlike.unpack_cached archive with
-      | Error _ -> None
-      | Ok members -> Some (archive, members))
-  | None -> (
-      let dir = target ^ last_dir_suffix in
-      match Netsim.Vfs.read fs ~path:(dir ^ "/_index") with
-      | None -> None
-      | Some index ->
-          let names =
-            List.filter (fun s -> s <> "") (String.split_on_char '\n' index)
-          in
-          let rec read_all acc = function
-            | [] -> Some (index, List.rev acc)
-            | n :: rest -> (
-                match Netsim.Vfs.read fs ~path:(dir ^ "/" ^ n) with
-                | None -> None (* torn base: treat as absent *)
-                | Some c -> read_all ((n, c) :: acc) rest)
-          in
-          read_all [] names)
+  let dir = target ^ last_dir_suffix in
+  match Netsim.Vfs.read fs ~path:(dir ^ "/_index") with
+  | None -> None
+  | Some index ->
+      let names =
+        List.filter (fun s -> s <> "") (String.split_on_char '\n' index)
+      in
+      let rec read_all acc = function
+        | [] -> Some (index, List.rev acc)
+        | n :: rest -> (
+            match Netsim.Vfs.read fs ~path:(dir ^ "/" ^ n) with
+            | None -> None (* torn base: treat as absent *)
+            | Some c -> read_all ((n, c) :: acc) rest)
+      in
+      read_all [] names
 
 let read_last_entry t fs target =
   match read_base_plain fs target with
@@ -171,13 +169,7 @@ let read_last_entry t fs target =
                   e.be_members members ->
           Some e
       | _ ->
-          let e =
-            {
-              be_token = token;
-              be_members =
-                List.map (fun (n, c) -> (n, c, Checksum.adler32 c)) members;
-            }
-          in
+          let e = { be_token = token; be_members = with_adlers members } in
           Hashtbl.replace t.base_cache target e;
           Some e)
 
@@ -197,45 +189,22 @@ let stream_cksum member_adlers =
     member_adlers;
   Checksum.to_hex (Checksum.stream_value st)
 
-(* Rebuild the member list a delta blob describes, against the durable
-   base.  Kept members share the base member's string physically, so
-   only changed members' bytes are materialized or scanned. *)
+(* The member list a delta blob describes, against the durable base. *)
 let reconstruct t fs target blob =
   match Tarlike.unpack blob with
   | Error e -> Error e
-  | Ok entries -> (
-      let base_entry = read_last_entry t fs target in
+  | Ok entries ->
       let base =
-        match base_entry with
+        match read_last_entry t fs target with
         | None -> []
-        | Some e -> List.map (fun (n, c, _) -> (n, c)) e.be_members
+        | Some e -> e.be_members
       in
-      let base_find name =
-        match base_entry with
-        | None -> None
-        | Some e ->
-            List.find_map
-              (fun (n, c, ck) -> if n = name then Some (c, ck) else None)
-              e.be_members
-      in
-      match decode_delta ~base entries with
-      | Error e -> Error e
-      | Ok members ->
-          Ok
-            (List.map
-               (fun (name, contents) ->
-                 let ck =
-                   match base_find name with
-                   | Some (bc, ck) when bc == contents -> ck
-                   | _ -> Checksum.adler32 contents
-                 in
-                 (name, contents, ck))
-               members))
+      decode_delta ~base entries
 
 (* Advance the durable base to [member_adlers]: write only members whose
    contents are not already the physically-identical string, drop
-   members that disappeared, refresh [_index], and retire any legacy
-   single-file archive.  O(changed members + member count). *)
+   members that disappeared, and refresh [_index].
+   O(changed members + member count). *)
 let write_base t fs target member_adlers =
   let dir = target ^ last_dir_suffix in
   let old_names =
@@ -259,10 +228,24 @@ let write_base t fs target member_adlers =
     old_names;
   let index = String.concat "\n" names in
   Netsim.Vfs.write fs ~path:(dir ^ "/_index") index;
-  if Netsim.Vfs.exists fs ~path:(target ^ last_suffix) then
-    Netsim.Vfs.remove fs ~path:(target ^ last_suffix);
   Hashtbl.replace t.base_cache target
     { be_token = index; be_members = member_adlers }
+
+(* The members a staged file describes, with their checksums — the one
+   decode of a staged push.  A full archive resolves through the entry
+   the xfer op primed for that very string; a delta blob is rebuilt
+   against the durable base.  EXEC hands the same list to the script and
+   to [write_base], so installed files and base members are physically
+   the same strings and the next push's kept members are recognised by
+   pointer. *)
+let staged_members t fs target = function
+  | None -> Error ("no staged archive at " ^ target ^ staged_suffix)
+  | Some sdata when is_delta_staged sdata ->
+      reconstruct t fs target (delta_blob sdata)
+  | Some sdata -> (
+      match Hashtbl.find_opt t.base_cache target with
+      | Some e when e.be_token == sdata -> Ok e.be_members
+      | _ -> Result.map with_adlers (Tarlike.unpack sdata))
 
 let handle t payload =
   match Gdb.Wire.decode_request payload with
@@ -294,15 +277,8 @@ let handle t payload =
                   (match Tarlike.unpack data with
                   | Error _ -> ()
                   | Ok members ->
-                      Tarlike.prime_unpack data members;
                       Hashtbl.replace t.base_cache target
-                        {
-                          be_token = data;
-                          be_members =
-                            List.map
-                              (fun (n, c) -> (n, c, Checksum.adler32 c))
-                              members;
-                        });
+                        { be_token = data; be_members = with_adlers members });
                   Netsim.Host.maybe_crash t.host ~point:"xfer";
                   reply 0 []
                 end
@@ -338,12 +314,9 @@ let handle t payload =
                     if stream_cksum member_adlers <> cksum then
                       reply Moira.Mr_err.update_checksum []
                     else begin
-                      let sdata = delta_marker ^ blob in
-                      Hashtbl.replace t.delta_cache target
-                        (sdata, member_adlers);
                       Netsim.Vfs.write fs
                         ~path:(target ^ staged_suffix)
-                        sdata;
+                        (delta_marker ^ blob);
                       Netsim.Host.maybe_crash t.host ~point:"xfer";
                       reply 0 []
                     end)
@@ -368,11 +341,7 @@ let handle t payload =
                   (Netsim.Vfs.read fs ~path:script_staging)
                   ~default:""
               in
-              (* read before the script runs: install_files removes the
-                 staged archive *)
-              let staged =
-                Netsim.Vfs.read fs ~path:(target ^ staged_suffix)
-              in
+              let staged = Netsim.Vfs.read fs ~path:(target ^ staged_suffix) in
               let already_installed =
                 (* A repeated exec whose predecessor ran but whose reply
                    was lost: the staged data is gone and the durable
@@ -388,53 +357,25 @@ let handle t payload =
               in
               if already_installed then reply 0 []
               else
-                match Hashtbl.find_opt t.scripts script_name with
-                | None ->
+                match
+                  ( Hashtbl.find_opt t.scripts script_name,
+                    staged_members t fs target staged )
+                with
+                | None, _ ->
                     reply Moira.Mr_err.update_script
                       [ [ "unknown script " ^ script_name ] ]
-                | Some script -> (
-                    match script ~staged:(target ^ staged_suffix) with
+                | Some _, Error msg ->
+                    reply Moira.Mr_err.update_script [ [ msg ] ]
+                | Some script, Ok member_adlers -> (
+                    let members =
+                      List.map (fun (n, c, _) -> (n, c)) member_adlers
+                    in
+                    match script ~staged:(target ^ staged_suffix) ~members with
                     | Ok () ->
                         (* record what is now installed, durably, as the
                            base for future manifest/delta exchanges *)
-                        (match staged with
-                        | Some sdata ->
-                            let member_adlers =
-                              if is_delta_staged sdata then
-                                match
-                                  Hashtbl.find_opt t.delta_cache target
-                                with
-                                | Some (s, m) when s == sdata -> Some m
-                                | _ -> (
-                                    match
-                                      reconstruct t fs target
-                                        (delta_blob sdata)
-                                    with
-                                    | Ok m -> Some m
-                                    | Error _ -> None)
-                              else
-                                (* full transfer: the xfer op primed the
-                                   cache for this archive string *)
-                                match
-                                  Hashtbl.find_opt t.base_cache target
-                                with
-                                | Some e when e.be_token == sdata ->
-                                    Some e.be_members
-                                | _ -> (
-                                    match Tarlike.unpack_cached sdata with
-                                    | Error _ -> None
-                                    | Ok members ->
-                                        Some
-                                          (List.map
-                                             (fun (n, c) ->
-                                               (n, c, Checksum.adler32 c))
-                                             members))
-                            in
-                            (match member_adlers with
-                            | Some m -> write_base t fs target m
-                            | None -> ());
-                            Netsim.Vfs.flush fs
-                        | None -> ());
+                        write_base t fs target member_adlers;
+                        Netsim.Vfs.flush fs;
                         Netsim.Host.maybe_crash t.host ~point:"after_exec";
                         reply 0 []
                     | Error msg ->
@@ -457,7 +398,6 @@ let serve ?(token = "krb") ?(obs = Obs.default) host =
       obs;
       scripts = Hashtbl.create 7;
       base_cache = Hashtbl.create 4;
-      delta_cache = Hashtbl.create 4;
     }
   in
   let register h =
@@ -472,78 +412,45 @@ let serve ?(token = "krb") ?(obs = Obs.default) host =
 
 let register_script t ~name script = Hashtbl.replace t.scripts name script
 
-(* The member list a staged file describes: a full archive unpacks
-   directly; a delta blob is decoded against the durable base of the
-   target the staged path names. *)
-let members_of_staged fs ~staged data =
-  if is_delta_staged data then
-    match Filename.chop_suffix_opt ~suffix:staged_suffix staged with
-    | None -> Error ("bad staged path " ^ staged)
-    | Some target -> (
-        let base =
-          match read_base_plain fs target with
-          | None -> []
-          | Some (_, members) -> members
-        in
-        match Tarlike.unpack (delta_blob data) with
-        | Error e -> Error e
-        | Ok entries -> decode_delta ~base entries)
-  else Tarlike.unpack_cached data
-
-let install_files host ~dir ?(after = fun () -> ()) () ~staged =
+let install_files host ~dir ?(after = fun () -> ()) () ~staged ~members =
   let fs = Netsim.Host.fs host in
-  match Netsim.Vfs.read fs ~path:staged with
-  | None -> Error ("no staged archive at " ^ staged)
-  | Some data -> (
-      match members_of_staged fs ~staged data with
-      | Error e -> Error e
-      | Ok members ->
-          (* Extract and swap one member at a time; renames are atomic
-             and same-partition, per the execution-phase rules.  A
-             member whose live file already holds the physically
-             identical string — a kept entry of a delta push — is left
-             alone, so the install is O(changed members). *)
-          List.iter
-            (fun (name, contents) ->
-              let live = dir ^ "/" ^ name in
-              match Netsim.Vfs.read fs ~path:live with
-              | Some old when old == contents -> ()
-              | old ->
-                  (* keep the previous version for the revert
-                     instruction *)
-                  (match old with
-                  | Some old ->
-                      Netsim.Vfs.write fs ~path:(live ^ ".moira_old") old
-                  | None -> ());
-                  let tmp = live ^ staged_suffix in
-                  Netsim.Vfs.write fs ~path:tmp contents;
-                  Netsim.Vfs.flush fs;
-                  ignore (Netsim.Vfs.rename fs ~src:tmp ~dst:live);
-                  Netsim.Host.maybe_crash host ~point:"mid_install")
-            members;
-          Netsim.Vfs.remove fs ~path:staged;
+  (* Swap in one member at a time; renames are atomic and
+     same-partition, per the execution-phase rules.  A member whose live
+     file already holds the physically identical string — a kept entry
+     of a delta push — is left alone, so the install is O(changed
+     members). *)
+  List.iter
+    (fun (name, contents) ->
+      let live = dir ^ "/" ^ name in
+      match Netsim.Vfs.read fs ~path:live with
+      | Some old when old == contents -> ()
+      | old ->
+          (* keep the previous version for the revert instruction *)
+          (match old with
+          | Some old -> Netsim.Vfs.write fs ~path:(live ^ ".moira_old") old
+          | None -> ());
+          let tmp = live ^ staged_suffix in
+          Netsim.Vfs.write fs ~path:tmp contents;
           Netsim.Vfs.flush fs;
-          Netsim.Host.maybe_crash host ~point:"before_restart";
-          after ();
-          Ok ())
+          ignore (Netsim.Vfs.rename fs ~src:tmp ~dst:live);
+          Netsim.Host.maybe_crash host ~point:"mid_install")
+    members;
+  Netsim.Vfs.remove fs ~path:staged;
+  Netsim.Vfs.flush fs;
+  Netsim.Host.maybe_crash host ~point:"before_restart";
+  after ();
+  Ok ()
 
-let revert_files host ~dir ?(after = fun () -> ()) () ~staged =
+let revert_files host ~dir ?(after = fun () -> ()) () ~staged:_ ~members =
   let fs = Netsim.Host.fs host in
-  match Netsim.Vfs.read fs ~path:staged with
-  | None -> Error ("no staged archive at " ^ staged)
-  | Some data -> (
-      match members_of_staged fs ~staged data with
-      | Error e -> Error e
-      | Ok members ->
-          List.iter
-            (fun (name, _) ->
-              let live = dir ^ "/" ^ name in
-              ignore
-                (Netsim.Vfs.rename fs ~src:(live ^ ".moira_old") ~dst:live))
-            members;
-          Netsim.Vfs.flush fs;
-          after ();
-          Ok ())
+  List.iter
+    (fun (name, _) ->
+      let live = dir ^ "/" ^ name in
+      ignore (Netsim.Vfs.rename fs ~src:(live ^ ".moira_old") ~dst:live))
+    members;
+  Netsim.Vfs.flush fs;
+  after ();
+  Ok ()
 
 type failure =
   | Soft of int * string

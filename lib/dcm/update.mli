@@ -6,9 +6,9 @@
     - {b Transfer phase}: authenticate; send the (tar) data file to the
       recorded target path suffixed [.moira_update], with a checksum;
       send the installation instruction sequence; flush to disk.
-    - {b Execution phase}: on a single command, the server runs the
-      staged script — extracting members as needed and swapping files
-      into place with atomic renames.
+    - {b Execution phase}: on a single command, the server decodes the
+      staged file into its members and runs the staged script on them,
+      which swaps files into place with atomic renames.
     - {b Confirm}: the exit status returns to the DCM, which records it.
 
     Crash points are exposed at each window the paper analyses
@@ -16,15 +16,18 @@
     {!Netsim.Host.arm_crash}.
 
     {b Delta pushes.}  After each successful execution the server keeps a
-    durable copy of the installed archive at [target^".last"].  A pushing
-    DCM first asks for a manifest of per-member Adler-32 checksums of
-    that copy; members whose checksum already matches are not resent, and
-    changed members are sent as prefix/suffix-trimmed patches against the
-    base when the DCM still holds it.  The server reconstructs the {e
-    full} archive from its base plus the deltas, verifies the whole-
-    archive checksum, and stages it — so the execution phase, and all of
-    section 5.9's atomicity analysis, are identical to a full transfer.
-    Any disagreement (missing base, stale patch base, checksum mismatch)
+    durable copy of the installed members, one file each, under
+    [target^".last.d/"] with an [_index] naming them.  A pushing DCM
+    first asks for a manifest of per-member Adler-32 checksums of that
+    base; members whose checksum already matches are not resent, and
+    changed members are sent as prefix/suffix-trimmed patches against
+    the base when the DCM still holds it.  The server rebuilds the member
+    list from its base plus the deltas, verifies the whole-archive
+    checksum, and stages the delta blob itself (marked [MOIRA-DELTA1]),
+    never the full archive.  Execution decodes either kind of staged
+    file into the same member list, so the install, and all of section
+    5.9's atomicity analysis, are identical to a full transfer.  Any
+    disagreement (missing base, stale patch base, checksum mismatch)
     makes the server answer MR_UPDATE_CHECKSUM and the DCM falls back to
     a full transfer within the same push. *)
 
@@ -45,9 +48,13 @@ val op_delta : int
 
 type server
 
-type script = staged:string -> (unit, string) result
-(** An installation instruction sequence: receives the staged archive
-    path on the local filesystem; performs the installs. *)
+type script =
+  staged:string -> members:(string * string) list -> (unit, string) result
+(** An installation instruction sequence: receives the staged file's
+    path on the local filesystem and the [(name, contents)] members the
+    server decoded from it; performs the installs.  The member strings
+    are the ones the server records as its base, so they must not be
+    mutated. *)
 
 val serve : ?token:string -> ?obs:Obs.t -> Netsim.Host.t -> server
 (** Install the update service on a host.  [token] (default ["krb"])
@@ -62,18 +69,20 @@ val register_script : server -> name:string -> script -> unit
 
 val install_files :
   Netsim.Host.t -> dir:string -> ?after:(unit -> unit) -> unit -> script
-(** The standard install script: unpack the staged archive, save each
-    existing member aside as [dir/<name>.moira_old], write the new
-    contents to [dir/<name>.moira_update], flush, atomically rename over
-    [dir/<name>], remove the staged file, then run [after] (e.g. restart
-    the server to reload its files).  Calls the [mid_install] crash
-    point between member installs and [before_restart] before [after]. *)
+(** The standard install script: for each member, save the existing
+    file aside as [dir/<name>.moira_old], write the new contents to
+    [dir/<name>.moira_update], flush, atomically rename over
+    [dir/<name>]; then remove the staged file and run [after] (e.g.
+    restart the server to reload its files).  A member whose live file
+    is already physically the member's string is left alone.  Calls the
+    [mid_install] crash point between member installs and
+    [before_restart] before [after]. *)
 
 val revert_files :
   Netsim.Host.t -> dir:string -> ?after:(unit -> unit) -> unit -> script
 (** Execution-phase instruction 3 of section 5.9: "revert the file —
     identical to swapping in the new data file, but instead puts the old
-    file back".  For every member named in the staged archive whose
+    file back".  For every member named in the staged file whose
     [.moira_old] copy exists, atomically rename it back over the live
     file.  "May be useful in the case of an erroneous installation." *)
 

@@ -35,8 +35,8 @@ let mail_dir = "/usr/lib"
 (* The nfs.sh install script: land the files, then act on them — create
    lockers named in the .dirs files and record quotas, the simulated
    equivalent of the mkdir/chown/setquota loop of section 5.8.2. *)
-let nfs_script host ~staged =
-  match Dcm.Update.install_files host ~dir:nfs_dir () ~staged with
+let nfs_script host ~staged ~members =
+  match Dcm.Update.install_files host ~dir:nfs_dir () ~staged ~members with
   | Error _ as e -> e
   | Ok () ->
       let fs = Netsim.Host.fs host in
@@ -153,8 +153,7 @@ let create ?(spec = Population.small) ?backend ?access_cache ?(dcm_every_min = 1
     (fun m ->
       let h = Netsim.Net.host net m in
       let up = Dcm.Update.serve ~obs:(lane m) h in
-      Dcm.Update.register_script up ~name:"nfs.sh" (fun ~staged ->
-          nfs_script h ~staged))
+      Dcm.Update.register_script up ~name:"nfs.sh" (nfs_script h))
     built.Population.nfs_machines;
   let mail_host = Netsim.Net.host net built.Population.mail_hub in
   let mail_up =

@@ -208,8 +208,6 @@ let test_tarlike_roundtrip () =
   (match Dcm.Tarlike.unpack (Dcm.Tarlike.pack members) with
   | Ok m -> Alcotest.(check bool) "roundtrip" true (m = members)
   | Error e -> Alcotest.fail e);
-  Alcotest.(check (option string)) "member extraction" (Some "aaa")
-    (Dcm.Tarlike.member (Dcm.Tarlike.pack members) "a");
   match Dcm.Tarlike.unpack "garbage with no header" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage unpacked"
@@ -224,9 +222,10 @@ let test_checksum_function () =
     (Dcm.Checksum.verify ~data:"hellp"
        ~checksum:(Dcm.Checksum.to_hex (Dcm.Checksum.adler32 "hello")))
 
-(* Delta pushes (against [target^".last"]).  The first push of a target
-   must go full; a repeat with mostly-unchanged members must ride the
-   manifest exchange, keeping unchanged members off the wire. *)
+(* Delta pushes (against the base in [target^".last.d/"]).  The first
+   push of a target must go full; a repeat with mostly-unchanged members
+   must ride the manifest exchange, keeping unchanged members off the
+   wire. *)
 
 let big_files ~version =
   List.init 20 (fun i ->
@@ -274,8 +273,8 @@ let test_second_push_is_delta () =
     (Netsim.Vfs.read fs ~path:"/etc/data/m07.db")
 
 let test_delta_push_crash_mid_install () =
-  (* The delta path reconstructs and stages the full archive before
-     execution, so section 5.9's mid-install analysis is unchanged: a
+  (* Execution decodes the staged delta into the same member list a full
+     archive gives, so section 5.9's mid-install analysis is unchanged: a
      crash between member swaps leaves every file fully old or fully
      new, and the retry completes. *)
   let _, net, srv, _ = setup () in
@@ -304,15 +303,11 @@ let test_delta_push_crash_mid_install () =
   Alcotest.(check (option string)) "b v2 after retry" (Some "b-v2")
     (Netsim.Vfs.read fs ~path:"/etc/data/b.db")
 
-let test_garbage_last_falls_back_to_full () =
+let test_garbage_base_falls_back_to_full () =
   (* A corrupt server-side base must not poison the push: the manifest /
      reconstruction disagreement turns into a full transfer in the same
      push, and the install is correct. *)
-  let _, net, srv, _ = setup () in
-  ignore (push ~files:[ ("a.db", "a-v1") ] net);
-  let fs = Netsim.Host.fs srv in
-  Netsim.Vfs.write fs ~path:"/tmp/out.last" "garbage, not an archive";
-  let s =
+  let push_v2 net =
     match
       Dcm.Update.push net ~src:"MOIRA" ~dst:"SRV"
         ~base:(docs [ ("a.db", "a-v1") ]) ~target:"/tmp/out"
@@ -321,10 +316,69 @@ let test_garbage_last_falls_back_to_full () =
     | Ok s -> s
     | Error _ -> Alcotest.fail "push with garbage base failed"
   in
-  Alcotest.(check bool) "fell back to full" false s.Dcm.Update.delta;
-  Alcotest.(check (option string)) "installed despite garbage base"
-    (Some "a-v2")
+  (* a garbage index names no member the DCM has: the push goes full *)
+  let _, net, srv, _ = setup () in
+  ignore (push ~files:[ ("a.db", "a-v1") ] net);
+  let fs = Netsim.Host.fs srv in
+  Netsim.Vfs.write fs ~path:"/tmp/out.last.d/_index" "garbage, not an index";
+  let s = push_v2 net in
+  Alcotest.(check bool) "garbage index: fell back to full" false
+    s.Dcm.Update.delta;
+  Alcotest.(check (option string)) "garbage index: installed" (Some "a-v2")
+    (Netsim.Vfs.read fs ~path:"/etc/data/a.db");
+  (* a garbage member: its manifest checksum matches nothing the DCM
+     holds, so it is shipped whole *)
+  let _, net, srv, _ = setup () in
+  ignore (push ~files:[ ("a.db", "a-v1") ] net);
+  let fs = Netsim.Host.fs srv in
+  Netsim.Vfs.write fs ~path:"/tmp/out.last.d/a.db" "garbage member";
+  ignore (push_v2 net);
+  Alcotest.(check (option string)) "garbage member: installed" (Some "a-v2")
     (Netsim.Vfs.read fs ~path:"/etc/data/a.db")
+
+let test_unchanged_push_rewrites_nothing () =
+  (* A push whose members all match the base installs nothing: every
+     live file is physically its base member, also after a patched
+     delta push, so the install recognises each one by pointer. *)
+  let _, net, srv, _ = setup () in
+  let v1 = big_files ~version:"v1" in
+  let v2 =
+    List.map
+      (fun (n, c) -> (n, if n = "m03.db" then c ^ "edit\n" else c))
+      v1
+  in
+  let push_v2 () =
+    match
+      Dcm.Update.push net ~src:"MOIRA" ~dst:"SRV" ~base:(docs v1)
+        ~target:"/tmp/out" ~files:(docs v2) ~script:"install.sh" ()
+    with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "push failed"
+  in
+  ignore (push ~files:v1 net);
+  let s = push_v2 () in
+  Alcotest.(check int) "m03.db patched" 1 s.Dcm.Update.members_patched;
+  let fs = Netsim.Host.fs srv in
+  let writes = ref [] in
+  Netsim.Vfs.set_write_hook fs
+    (Some
+       (fun path ->
+         if String.starts_with ~prefix:"/etc/data/" path then
+           writes := path :: !writes));
+  let s = push_v2 () in
+  Netsim.Vfs.set_write_hook fs None;
+  Alcotest.(check int) "every member kept" 20 s.Dcm.Update.members_kept;
+  Alcotest.(check (list string)) "no write under /etc/data/" [] !writes;
+  List.iter
+    (fun (n, c) ->
+      let live = Netsim.Vfs.read fs ~path:("/etc/data/" ^ n) in
+      let base = Netsim.Vfs.read fs ~path:("/tmp/out.last.d/" ^ n) in
+      Alcotest.(check (option string)) (n ^ " installed") (Some c) live;
+      Alcotest.(check bool) (n ^ " live == base member") true
+        (match (live, base) with
+        | Some l, Some b -> l == b
+        | _ -> false))
+    v2
 
 let test_stale_base_on_client_still_correct () =
   (* The DCM's kept base can be wrong (e.g. after a restart it guesses):
@@ -430,9 +484,9 @@ let test_reply_loss_exec_runs_script_once () =
   ignore (Netsim.Net.add_host net "MOIRA");
   let up = Dcm.Update.serve srv in
   let runs = ref 0 in
-  Dcm.Update.register_script up ~name:"install.sh" (fun ~staged ->
+  Dcm.Update.register_script up ~name:"install.sh" (fun ~staged ~members ->
       incr runs;
-      Dcm.Update.install_files srv ~dir:"/etc/data" () ~staged);
+      Dcm.Update.install_files srv ~dir:"/etc/data" () ~staged ~members);
   (* the exec op is the 5th (index 4) of a full push *)
   Netsim.Net.arm_reply_drop net ~dst:"SRV" ~skip:4 1;
   (match
@@ -477,8 +531,10 @@ let suite =
     Alcotest.test_case "second push is delta" `Quick test_second_push_is_delta;
     Alcotest.test_case "delta push crash mid-install" `Quick
       test_delta_push_crash_mid_install;
-    Alcotest.test_case "garbage .last falls back to full" `Quick
-      test_garbage_last_falls_back_to_full;
+    Alcotest.test_case "garbage .last.d falls back to full" `Quick
+      test_garbage_base_falls_back_to_full;
+    Alcotest.test_case "unchanged push rewrites nothing" `Quick
+      test_unchanged_push_rewrites_nothing;
     Alcotest.test_case "stale client base still correct" `Quick
       test_stale_base_on_client_still_correct;
     Alcotest.test_case "reply loss idempotent (full push, every op)" `Quick
