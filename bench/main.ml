@@ -9,9 +9,10 @@
 
 open Workload
 
-(* BENCH_SMOKE=1 (CI): tiny populations, short quotas -- the point is to
-   exercise every code path and the outputs-identical checks, not to
-   produce publishable numbers. *)
+(* BENCH_SMOKE=1 (CI): tiny populations, short quotas, fewer fault
+   levels, rounds and queries -- the point is to exercise every code
+   path and the outputs-identical checks, not to produce publishable
+   numbers.  The one knob for every experiment. *)
 let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None
 
 (* BENCH_SCALE=1 (opt-in, manual/nightly): extend the gen/qry sweeps to
@@ -1223,9 +1224,7 @@ let bench_qry () =
 
 (* ------------------------------------------------------------------ *)
 (* E12: the chaos harness — convergence under injected faults.         *)
-(* CHAOS_SMOKE=1 (CI): fewer fault levels, same assertions.            *)
-
-let chaos_smoke = Sys.getenv_opt "CHAOS_SMOKE" <> None || smoke
+(* BENCH_SMOKE=1 (CI): fewer fault levels, same assertions.            *)
 
 (* Every enabled host of every enabled, generated service has caught up
    with the current data file generation and carries no host error; the
@@ -1332,7 +1331,7 @@ let bench_chaos () =
     "E12: chaos harness -- eventual convergence under request loss,\n\
      reply loss, partitions and crash/reboot cycles (sections 5.7, 5.9)";
   let levels =
-    if chaos_smoke then [ (0.0, 0.0); (0.3, 0.2) ]
+    if smoke then [ (0.0, 0.0); (0.3, 0.2) ]
     else [ (0.0, 0.0); (0.1, 0.05); (0.2, 0.1); (0.3, 0.2) ]
   in
   Printf.printf "%-18s %8s %8s %10s %12s %9s\n" "drop/reply-loss" "cycles"
@@ -1439,10 +1438,9 @@ let bench_chaos () =
 (* obs: the observability layer end to end -- per-query latency         *)
 (* quantiles, plan-cache hit rate, DCM cycle breakdown, registry        *)
 (* determinism across identical seeded runs, and a Chrome-loadable      *)
-(* trace (BENCH_obs.json, trace.json).  OBS_SMOKE=1 (CI) shrinks it.    *)
+(* trace (BENCH_obs.json, trace.json).  BENCH_SMOKE=1 (CI) shrinks it.  *)
 
-let obs_smoke = Sys.getenv_opt "OBS_SMOKE" <> None || smoke
-let obs_queries = if obs_smoke then 40 else 160
+let obs_queries = if smoke then 40 else 160
 
 (* A deterministic mixed workload: reads and writes trickling in over
    simulated hours while the DCM cron fires — everything the PR wires
@@ -1581,9 +1579,7 @@ let bench_obs () =
 (* E13: the replicated read path — journal-streaming replicas under    *)
 (* the E12 fault model with the primary killed mid-propagation, plus   *)
 (* aggregate read capacity vs the single server.                       *)
-(* REPL_SMOKE=1 (CI): shorter fault phase, same assertions.            *)
-
-let repl_smoke = Sys.getenv_opt "REPL_SMOKE" <> None || smoke
+(* BENCH_SMOKE=1 (CI): shorter fault phase, same assertions.           *)
 
 let bench_replication () =
   header
@@ -1707,7 +1703,7 @@ let bench_replication () =
      schedule would miss the read instants entirely. *)
   Netsim.Net.set_drop_rate net drop;
   Netsim.Net.set_reply_drop_rate net reply_drop;
-  let rounds = if repl_smoke then 12 else 48 in
+  let rounds = if smoke then 12 else 48 in
   let kill_round = rounds / 3 in
   let kill_ms = 25 * 60_000 in
   let kill_end = ref 0 in
@@ -1797,7 +1793,7 @@ let bench_replication () =
     | Ok _ -> ()
     | Error c -> failwith (Comerr.Com_err.error_message c)
   in
-  let rounds = if repl_smoke then 2 else 5 in
+  let rounds = if smoke then 2 else 5 in
   let time_per_op_us f =
     let _, once_ms = time_ms f in
     let iters =
@@ -1889,9 +1885,7 @@ let bench_replication () =
 (* stitched trace must span the client, server, replica and serving-  *)
 (* host lanes; and two identical seeded chaos runs must fingerprint   *)
 (* byte-identical across every lane (BENCH_propagation.json).         *)
-(* OBS_SMOKE=1 (CI) shrinks it.                                       *)
-
-let prop_smoke = Sys.getenv_opt "OBS_SMOKE" <> None || smoke
+(* BENCH_SMOKE=1 (CI) shrinks it.                                     *)
 
 (* Every lane's registry dump plus the extracted trace: the whole
    telemetry surface two same-seed runs must reproduce byte for byte. *)
@@ -1928,7 +1922,7 @@ let prop_run ~scale ~drop ~reply_drop () =
   Netsim.Net.set_reply_drop_rate net reply_drop;
   let logins = tb.Testbed.built.Population.logins in
   let journal = Moira.Mdb.journal tb.Testbed.mdb in
-  let writes = if prop_smoke then 4 else 12 in
+  let writes = if smoke then 4 else 12 in
   let writes_ok = ref 0 in
   let commits = ref 0 in
   let traced = ref None in
@@ -1984,7 +1978,7 @@ let prop_run ~scale ~drop ~reply_drop () =
      quantiles describe interval-dominated propagation *)
   Netsim.Net.set_drop_rate net 0.0;
   Netsim.Net.set_reply_drop_rate net 0.0;
-  let horizon_ms = (if prop_smoke then 7 else 13) * 3_600_000 in
+  let horizon_ms = (if smoke then 7 else 13) * 3_600_000 in
   while Sim.Engine.now tb.Testbed.engine - t0 < horizon_ms do
     Testbed.run_minutes tb 30
   done;

@@ -1,52 +1,31 @@
-(* moira_lint — static analysis gate.
+(* moira_lint — static analysis gate ([Lint.Deep_moira]).
 
-   Default mode runs the syntactic [Lint] rules over the tree; exit
-   nonzero listing file:line:rule on any violation.  Usage:
-   moira_lint [path ...] (defaults to lib bin test bench, resolved
-   from the cwd).
+   Loads the [.cmt] typed ASTs of lib/ bin/ test/ bench/ and runs every
+   rule: per-definition checks, wall-clock / global-random /
+   unsorted-fold reach with call chains, the static lock-order graph
+   cross-checked against a simulated chaos day's runtime sanitizer, and
+   protocol exhaustiveness.  Exits nonzero listing file:line:rule on any
+   finding.  Run from the repo root after [dune build @check].
+   [--json PATH] also writes the machine-readable report; [--no-chaos]
+   skips the simulated day (faster, but the soundness cross-check then
+   trivially passes). *)
 
-   [--deep] runs the interprocedural pass instead ([Lint.Deep_moira]):
-   whole-program effect propagation, the static lock-order graph
-   cross-checked against a simulated chaos day's runtime sanitizer,
-   and protocol exhaustiveness.  Requires [.cmt] artifacts — build
-   with [dune build @check] first.  [--json PATH] also writes the
-   machine-readable report; [--no-chaos] skips the simulated day
-   (faster, but the soundness cross-check then trivially passes). *)
-
-let run_syntactic roots =
-  let roots =
-    match roots with
-    | [] -> List.filter Sys.file_exists Lint.default_roots
-    | rs -> rs
+let () =
+  let args = List.tl (Array.to_list Sys.argv) in
+  let rec json_of = function
+    | "--json" :: p :: _ -> Some p
+    | _ :: rest -> json_of rest
+    | [] -> None
   in
-  if roots = [] then begin
-    prerr_endline
-      "moira_lint: no roots found (run from the repo root or pass paths)";
-    exit 2
-  end;
-  let files = List.concat_map Lint.files_under roots in
-  let violations = List.concat_map Lint.lint_file files in
-  if violations = [] then
-    Printf.printf "moira_lint: %d files clean\n" (List.length files)
-  else begin
-    List.iter (fun v -> print_endline (Lint.pp_violation v)) violations;
-    Printf.printf "moira_lint: %d violation(s) in %d files\n"
-      (List.length violations)
-      (List.length
-         (List.sort_uniq String.compare
-            (List.map (fun v -> v.Lint.v_file) violations)));
-    exit 1
-  end
-
-let run_deep ~json ~chaos =
+  let chaos = not (List.mem "--no-chaos" args) in
   if not (Sys.file_exists "_build/default") then begin
     prerr_endline
-      "moira_lint --deep: no _build/default (run from the repo root after \
-       `dune build @check`)";
+      "moira_lint: no _build/default (run from the repo root after `dune \
+       build @check`)";
     exit 2
   end;
   let r = Lint.Deep_moira.run ~chaos () in
-  (match json with
+  (match json_of args with
   | Some path ->
       let oc = open_out path in
       output_string oc r.Lint.Deep_moira.r_json;
@@ -54,7 +33,7 @@ let run_deep ~json ~chaos =
   | None -> ());
   let edges (a, b) = a ^ " -> " ^ b in
   Printf.printf
-    "moira_lint --deep: %d definitions, %d entry points\n\
+    "moira_lint: %d definitions, %d entry points\n\
      static lock-order graph: %s\n\
      observed at runtime:     %s\n"
     r.Lint.Deep_moira.r_functions r.Lint.Deep_moira.r_entries
@@ -65,20 +44,8 @@ let run_deep ~json ~chaos =
     | [] -> if chaos then "(none)" else "(chaos day skipped)"
     | es -> String.concat ", " (List.map edges es));
   match r.Lint.Deep_moira.r_findings with
-  | [] -> Printf.printf "moira_lint --deep: clean\n"
+  | [] -> Printf.printf "moira_lint: clean\n"
   | fs ->
       List.iter (fun f -> print_endline (Lint.Deep.pp_finding f)) fs;
-      Printf.printf "moira_lint --deep: %d finding(s)\n" (List.length fs);
+      Printf.printf "moira_lint: %d finding(s)\n" (List.length fs);
       exit 1
-
-let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  if List.mem "--deep" args then begin
-    let rec json_of = function
-      | "--json" :: p :: _ -> Some p
-      | _ :: rest -> json_of rest
-      | [] -> None
-    in
-    run_deep ~json:(json_of args) ~chaos:(not (List.mem "--no-chaos" args))
-  end
-  else run_syntactic args

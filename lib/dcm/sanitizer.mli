@@ -35,7 +35,7 @@ val key_class : string -> string
 
 val observed_lock_edges : t -> (string * string) list
 (** Every (held-class, acquired-class) pair witnessed on a successful
-    acquire, sorted and deduplicated.  [moira_lint --deep] checks this
+    acquire, sorted and deduplicated.  [moira_lint] checks this
     set is a subset of the statically derived lock-order graph: an
     observed edge the static graph lacks means the static analysis is
     unsound; a non-empty observation against an empty static graph

@@ -1,37 +1,30 @@
-(* Shared between the syntactic pass ([Lint]) and the interprocedural
-   one ([Deep_moira]): the rule catalogue, the per-file allowlist, and
-   the [lint: allow] annotation scanner.  Lives below both so the deep
-   pass can honour the same suppression syntax without the library's
-   main module depending on it the wrong way around. *)
+(* The rule catalogue, the per-file rule scoping, and the one
+   [lint: allow] tracker every finding passes through.  Below [Deep] so
+   the analyzer and its tests share a single notion of which rule ids
+   exist, where each applies, and which suppressions went unused. *)
 
 let rules =
   [
     ( "wall-clock",
-      "Unix.gettimeofday/Unix.time/Sys.time/Gc stats outside allowlist" );
+      "Unix.gettimeofday/Unix.time/Sys.time/Gc stats, with the call chain \
+       from an entry point" );
     ("global-random", "global Random (use the seeded Sim.Rng)");
+    ( "unsorted-fold",
+      "Hashtbl.fold/iter accumulating in hash order with no sort" );
     ("obj-magic", "Obj.magic");
     ("swallow-exn", "try ... with _ -> discards the exception");
-    ("unsorted-fold", "Hashtbl.fold/iter feeds output without a sort");
     ("lock-protect", "Lock.acquire without Fun.protect in the definition");
     ("schema-ref", "table/column literal unknown to Schema_def");
     ("printf-in-lib", "stdout printing inside lib/ (route through Obs.log)");
+    ( "lock-order",
+      "lock-order cycle, opaque lock key, or a runtime edge the static \
+       graph lacks" );
+    ("proto-exhaustive", "opcode/verb/error code without arm or doc row");
     ("bad-allow", "malformed lint: allow annotation");
     ("unused-allow", "lint: allow annotation that suppresses nothing");
   ]
 
-(* Rules owned by the interprocedural pass ([Deep], driven by
-   [moira_lint --deep]).  Known here so [lint: allow] annotations for
-   them validate, but the syntactic pass neither fires them nor reports
-   their allows as stale — the deep pass does its own use-tracking. *)
-let deep_rules =
-  [
-    ("deep-effect", "transitive wall-clock/random/unordered-iter reach");
-    ("lock-order", "static lock-order violation (cycle or opaque key)");
-    ("proto-exhaustive", "opcode/error code without arm or doc row");
-  ]
-
-let is_deep_rule r = List.mem_assoc r deep_rules
-let rule_known r = List.mem_assoc r rules || is_deep_rule r
+let rule_known r = List.mem_assoc r rules
 
 let find_sub ~start hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -45,18 +38,22 @@ let find_sub ~start hay needle =
 let contains_sub hay needle =
   match find_sub ~start:0 hay needle with Some _ -> true | None -> false
 
-(* Per-file, per-rule allowlist for rules whose legitimate uses are
-   whole-file (real-time measurement).  Matched by path suffix so the
-   linter works from any working directory. *)
-let file_allowlist =
-  [ ("bench/main.ml", "wall-clock"); ("bin/athena_sim.ml", "wall-clock") ]
+(* Whole-file allowlist for real-time measurement, matched by path
+   suffix so the analyzer works from any working directory. *)
+let wall_clock_files = [ "bench/main.ml"; "bin/athena_sim.ml" ]
 
-let file_allowed ~file rule =
-  List.exists
-    (fun (suffix, r) -> r = rule && Filename.check_suffix file suffix)
-    file_allowlist
-  || (rule = "schema-ref"
-     && List.exists (fun dir -> contains_sub file dir) [ "test/"; "bench/" ])
+(* Per-file scoping: [printf-in-lib] is for lib/ only (clients and
+   benches print to their terminal by design); [schema-ref] is off
+   under test/ and bench/, which build ad-hoc relations with local
+   schemas. *)
+let applies ~file rule =
+  match rule with
+  | "printf-in-lib" -> contains_sub file "lib/"
+  | "schema-ref" ->
+      not (contains_sub file "test/" || contains_sub file "bench/")
+  | "wall-clock" ->
+      not (List.exists (Filename.check_suffix file) wall_clock_files)
+  | _ -> true
 
 (* ---------------- allow annotations ---------------- *)
 
@@ -144,3 +141,58 @@ let scan_allows source =
       | Some (Error msg) -> bad := (!lineno, msg) :: !bad)
     (String.split_on_char '\n' source);
   (List.rev !allows, List.rev !bad)
+
+(* ---------------- the tracker ---------------- *)
+
+type tracker = {
+  allows : (string * allow) list;  (* file, annotation *)
+  malformed : (string * int * string) list;  (* file, line, message *)
+}
+
+(* [sources] is every analyzed file with its text, so stale allows in
+   finding-free files are still caught. *)
+let track sources =
+  let scanned =
+    List.map (fun (file, src) -> (file, scan_allows src)) sources
+  in
+  {
+    allows =
+      List.concat_map
+        (fun (file, (allows, _)) -> List.map (fun a -> (file, a)) allows)
+        scanned;
+    malformed =
+      List.concat_map
+        (fun (file, (_, bad)) ->
+          List.map (fun (line, msg) -> (file, line, msg)) bad)
+        scanned;
+  }
+
+(* An allow covers its own line, or the line below when alone on its
+   line.  Marks the annotation used. *)
+let suppressed t ~rule ~file ~line =
+  match
+    List.find_opt
+      (fun (f, a) ->
+        f = file && a.a_rule = rule
+        && (a.a_line = line || (a.a_solo && a.a_line = line - 1)))
+      t.allows
+  with
+  | Some (_, a) ->
+      a.a_used <- true;
+      true
+  | None -> false
+
+(* Malformed and unused annotations as [(file, line, rule, message)];
+   call once every finding has been through {!suppressed}. *)
+let hygiene t =
+  List.map (fun (file, line, msg) -> (file, line, "bad-allow", msg)) t.malformed
+  @ List.filter_map
+      (fun (file, a) ->
+        if a.a_used then None
+        else
+          Some
+            ( file,
+              a.a_line,
+              "unused-allow",
+              Printf.sprintf "allow %s suppresses nothing" a.a_rule ))
+      t.allows

@@ -1,39 +1,59 @@
-(* Deep (interprocedural) analysis over the compiler's typed ASTs.
+(* moira_lint's analyzer: one pass over the compiler's typed ASTs.
 
-   The syntactic pass in [Lint] sees one expression at a time, so a
-   wall-clock read or an unsorted hashtable walk wrapped in a helper
-   leaks through every caller unseen.  This module loads the [.cmt]
-   files dune leaves next to the objects ([Cmt_format]), walks them
-   with [Tast_iterator], and reduces every compilation unit to a table
-   of per-definition facts: which names it references, which string
+   The paper's bet (section 7) is that all database access goes through
+   predefined query handles and all fleet mutation through the DCM's
+   lock-guarded update protocol, which makes the whole surface
+   statically checkable.  This module loads the [.cmt] files dune
+   leaves next to the objects ([Cmt_format]), walks them with
+   [Tast_iterator], and reduces every compilation unit to a table of
+   per-definition facts: which names it references, which string
    constants it mentions, which effects it performs directly, which
-   lock classes it acquires.  Everything else — effect propagation
-   along the call graph, the static lock-order graph, the protocol
-   exhaustiveness checks — is plain graph algebra over those facts,
-   shared between the real tree ([Deep_moira]) and the test fixtures
-   (which typecheck snippets in-process via [Typemod]).
+   lock classes it acquires, and which per-site rules it breaks.
+   Everything else — effect propagation along the call graph, the
+   static lock-order graph, the protocol exhaustiveness checks — is
+   plain graph algebra over those facts, shared between the real tree
+   ([Deep_moira]) and the test fixtures.
 
-   Rule ids reported here: [deep-effect] (a transitive wall-clock /
-   global-random / unordered-iteration reach, with the call chain),
-   [lock-order] (an acquisition-order cycle or an acquire whose key the
-   analysis cannot classify), [proto-exhaustive] (an opcode, verb or
-   error code without both endpoints of a dispatch or its PROTOCOL.md
-   row).  Suppression decisions are delegated to a caller-supplied
-   [suppress] callback so the driver can reuse [Lint]'s allow-comment
-   scanner and per-file allowlists. *)
+   Rules (ids as reported; the catalogue and per-file scoping live in
+   [Allow]):
+   - whole-program, reported once per direct site with the shortest
+     call chain from an entry point:
+     [wall-clock]     [Unix.gettimeofday]/[Unix.time]/[Sys.time] and Gc
+                      measurement reads: sim code reads the injected
+                      engine clock, or same-seed runs stop being
+                      byte-identical;
+     [global-random]  the global [Random] (all randomness goes through
+                      the seeded [Sim.Rng]);
+     [unsorted-fold]  a [Hashtbl.fold]/[iter] accumulating
+                      order-sensitively (list cons, string or buffer
+                      append, an opaque function) with no sort in the
+                      definition or one call away;
+   - per definition: [obj-magic], [swallow-exn] ([try ... with _ ->] or
+     [with _e ->]), [lock-protect] (a definition calling [Lock.acquire]
+     must use [Fun.protect]), [schema-ref] (string literals in
+     table/column positions of known calls must name a real
+     [Schema_def] table or column), [printf-in-lib] (stdout printers);
+   - [lock-order] (an acquisition-order cycle or an acquire whose key
+     the analysis cannot classify), [proto-exhaustive] (an opcode, verb
+     or error code without both endpoints of a dispatch or its
+     PROTOCOL.md row).
+
+   Every finding then goes through {!gate}: the rule's file scope, and
+   an allow comment — open-comment immediately followed by
+   [lint: allow <rule> -- <reason>] (em dash or [--] before the reason)
+   — on the offending line, or alone on the line directly above.
+   Malformed and unused allows are findings themselves. *)
 
 type effect_ =
   | WallClock
   | GlobalRandom
   | UnorderedIter
-  | Io
   | TakesLock of string
 
 let effect_name = function
   | WallClock -> "wall-clock"
   | GlobalRandom -> "global-random"
-  | UnorderedIter -> "unordered-iter"
-  | Io -> "io"
+  | UnorderedIter -> "unsorted-fold"
   | TakesLock c -> "takes-lock:" ^ c
 
 type fn = {
@@ -46,6 +66,7 @@ type fn = {
   mutable fn_direct : (effect_ * int) list;  (* direct effect, line *)
   mutable fn_acquires : (string * int) list;  (* lock class or "?", line *)
   mutable fn_code_idx : int option;  (* body is [code <int>] *)
+  mutable fn_sites : (string * int * string) list;  (* rule, line, msg *)
 }
 
 type facts = (string, fn) Hashtbl.t
@@ -65,18 +86,12 @@ let make_fn ~name ~unit_name ~file ~line =
     fn_direct = [];
     fn_acquires = [];
     fn_code_idx = None;
+    fn_sites = [];
   }
 
 (* ---------------- name normalization ---------------- *)
 
-let find_sub ~start hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then None
-    else if String.sub hay i nn = needle then Some i
-    else go (i + 1)
-  in
-  go start
+let find_sub = Allow.find_sub
 
 let replace_sub s ~sub ~by =
   let b = Buffer.create (String.length s) in
@@ -102,16 +117,23 @@ let norm_unit modname =
   replace_sub (strip_prefix "Dune__exe__" modname) ~sub:"__" ~by:"."
 
 (* A referenced path as the analysis names things: the [Stdlib] prefix
-   dropped, dune's unit mangling undone. *)
+   dropped, dune's unit mangling undone.  Inside a wrapped library with
+   a main module, siblings are reached through the alias module
+   ([Lint__.Deep.create]); inside an executable, through [Dune__exe]
+   ([Dune__exe.Fix.create]). *)
 let norm_path name =
-  replace_sub
-    (strip_prefix "Dune__exe__" (strip_prefix "Stdlib." name))
-    ~sub:"__" ~by:"."
+  let name = strip_prefix "Stdlib." name in
+  let name = strip_prefix "Dune__exe." (strip_prefix "Dune__exe__" name) in
+  replace_sub (replace_sub name ~sub:"__." ~by:".") ~sub:"__" ~by:"."
 
 let last_component n =
   match String.rindex_opt n '.' with
   | Some i -> String.sub n (i + 1) (String.length n - i - 1)
   | None -> n
+
+(* [n] names [suffix] or a value reached through it ("Relation.Pred.eq_str"
+   for "Pred.eq_str"). *)
+let path_is n suffix = n = suffix || String.ends_with ~suffix:("." ^ suffix) n
 
 let lowercase_contains hay needle =
   match find_sub ~start:0 (String.lowercase_ascii hay) needle with
@@ -126,21 +148,19 @@ let wall_clock_names =
     "Gc.counters"; "Gc.allocated_bytes";
   ]
 
-let io_sink_names =
-  [
-    "print_string"; "print_endline"; "print_newline"; "print_int";
-    "print_char"; "print_float"; "print_bytes"; "prerr_string";
-    "prerr_endline"; "prerr_newline"; "output_string"; "output_char";
-    "output_bytes"; "Printf.printf"; "Printf.eprintf"; "Printf.fprintf";
-    "Format.printf"; "Format.eprintf"; "Format.fprintf";
-  ]
-
 let classify_ref n =
   if List.mem n wall_clock_names then Some WallClock
   else if String.starts_with ~prefix:"Random." n then Some GlobalRandom
-  else if List.mem n io_sink_names || String.ends_with ~suffix:"Vfs.write" n
-  then Some Io
   else None
+
+(* stdout-only printers; stderr ([prerr_*], [Printf.eprintf]) is left to
+   com_err's reporting convention. *)
+let stdout_printers =
+  [
+    "print_string"; "print_endline"; "print_newline"; "print_int";
+    "print_char"; "print_float"; "print_bytes"; "Printf.printf";
+    "Format.printf";
+  ]
 
 let is_hashtbl_walk n = n = "Hashtbl.fold" || n = "Hashtbl.iter"
 
@@ -150,33 +170,64 @@ let key_class key =
   | Some i -> String.sub key 0 i
   | None -> key
 
+(* ---------------- schema knowledge ---------------- *)
+
+let table_names = List.map Relation.Schema.name Moira.Schema_def.all
+
+let column_names =
+  List.concat_map
+    (fun s ->
+      Array.to_list (Relation.Schema.columns s)
+      |> List.map (fun c -> c.Relation.Schema.cname))
+    Moira.Schema_def.all
+  |> List.sort_uniq String.compare
+
+(* Table positions: every unlabelled string literal names a table. *)
+let table_fns = [ "Mdb.table"; "Db.table" ]
+
+(* Column positions.  The first group also takes a string *value*, so
+   the column is strictly the first unlabelled argument (skipped when
+   it is computed rather than a literal); in the second no other
+   argument can be a string, so any unlabelled literal is a column. *)
+let column_fns_first = [ "Pred.eq_str"; "Pred.name_match" ]
+
+let column_fns_any =
+  [ "Pred.eq_int"; "Pred.eq_bool"; "Table.field"; "Schema.index_of"; "seti";
+    "setb" ]
+
 (* ---------------- the typedtree walk ---------------- *)
 
 open Typedtree
 
 let line_of (e : expression) = e.exp_loc.Location.loc_start.Lexing.pos_lnum
 
-(* First string constant in a subtree, in syntactic order.  Format
-   literals decompose into CamlinternalFormat constants, but the
+let string_const e =
+  match e.exp_desc with
+  | Texp_constant (Asttypes.Const_string (s, _, _)) -> Some s
+  | _ -> None
+
+(* String constants in a subtree, in syntactic order, with their lines.
+   Format literals decompose into CamlinternalFormat constants, but the
    leading literal chunk ("host:" of "host:%s/%s") still shows up as a
    plain string constant, which is all the key classifier needs. *)
-let first_string_in e =
-  let found = ref None in
+let strings_in e =
+  let acc = ref [] in
   let it =
     {
       Tast_iterator.default_iterator with
       expr =
         (fun it e ->
-          (match e.exp_desc with
-          | Texp_constant (Asttypes.Const_string (s, _, _))
-            when !found = None ->
-              found := Some s
-          | _ -> ());
+          (match string_const e with
+          | Some s -> acc := (s, line_of e) :: !acc
+          | None -> ());
           Tast_iterator.default_iterator.expr it e);
     }
   in
   it.expr it e;
-  !found
+  List.rev !acc
+
+let first_string_in e =
+  match strings_in e with (s, _) :: _ -> Some s | [] -> None
 
 (* Does a lambda body accumulate order-sensitively (list cons, string
    append, buffer append)?  Iterating a hashtable with such a lambda
@@ -202,11 +253,57 @@ let order_sensitive_lambda e =
   it.expr it e;
   !found
 
+(* [with _ ->] and [with _e ->]: the handler declares it will not look
+   at the exception. *)
+let rec swallows (p : pattern) =
+  match p.pat_desc with
+  | Tpat_any -> true
+  | Tpat_var (id, _) -> String.starts_with ~prefix:"_" (Ident.name id)
+  | Tpat_alias (p, _, _) -> swallows p
+  | Tpat_or (a, b, _) -> swallows a || swallows b
+  | _ -> false
+
+(* [schema-ref] at one application of [n] to [args]. *)
+let schema_sites n args =
+  let unlabelled =
+    List.filter_map
+      (function Asttypes.Nolabel, Some a -> Some a | _ -> None)
+      args
+  in
+  let literal a =
+    match string_const a with Some s -> [ (s, line_of a) ] | None -> []
+  in
+  let check what known lits =
+    List.filter_map
+      (fun (s, ln) ->
+        if known s then None
+        else Some ("schema-ref", ln, Printf.sprintf "unknown %s %S" what s))
+      lits
+  in
+  let table = check "table" (fun t -> List.mem t table_names) in
+  let column = check "column" (fun c -> List.mem c column_names) in
+  let is = List.exists (path_is n) in
+  if is table_fns then table (List.concat_map literal unlabelled)
+  else if path_is n "Gen.watch" then
+    table (List.concat_map literal unlabelled)
+    @ column
+        (List.concat_map
+           (function
+             | (Asttypes.Labelled "columns" | Optional "columns"), Some a ->
+                 strings_in a
+             | _ -> [])
+           args)
+  else if is column_fns_first then
+    match unlabelled with a :: _ -> column (literal a) | [] -> []
+  else if is column_fns_any then column (List.concat_map literal unlabelled)
+  else []
+
 (* Walk one toplevel binding's body, filling [fn]'s fact lists. *)
 let walk_binding fn body =
   (* local [let k = "service:" ^ x] string bindings, for key classing *)
   let locals : (string, string) Hashtbl.t = Hashtbl.create 8 in
   let walk_candidates = ref [] in
+  let site rule ln msg = fn.fn_sites <- (rule, ln, msg) :: fn.fn_sites in
   let it =
     {
       Tast_iterator.default_iterator with
@@ -230,9 +327,23 @@ let walk_binding fn body =
               fn.fn_refs <- (n, ln) :: fn.fn_refs;
               (match classify_ref n with
               | Some eff -> fn.fn_direct <- (eff, ln) :: fn.fn_direct
-              | None -> ())
+              | None -> ());
+              if path_is n "Obj.magic" then
+                site "obj-magic" ln "Obj.magic defeats the type system";
+              if List.mem n stdout_printers then
+                site "printf-in-lib" ln
+                  "stdout print inside lib/; route through an Obs log channel"
           | Texp_constant (Asttypes.Const_string (s, _, _)) ->
               fn.fn_strings <- (s, ln) :: fn.fn_strings
+          | Texp_try (_, cases) ->
+              List.iter
+                (fun c ->
+                  if swallows c.c_lhs then
+                    site "swallow-exn"
+                      c.c_lhs.pat_loc.Location.loc_start.Lexing.pos_lnum
+                      "wildcard handler discards the exception; match the \
+                       exceptions you mean to handle")
+                cases
           | Texp_let (_, vbs, _) ->
               List.iter
                 (fun vb ->
@@ -247,7 +358,10 @@ let walk_binding fn body =
               match f.exp_desc with
               | Texp_ident (p, _, _) -> (
                   let n = norm_path (Path.name p) in
-                  if String.ends_with ~suffix:"Lock.acquire" n then begin
+                  List.iter
+                    (fun (rule, ln, msg) -> site rule ln msg)
+                    (schema_sites n args);
+                  if path_is n "Lock.acquire" then begin
                     let key =
                       List.find_map
                         (function
@@ -279,7 +393,8 @@ let walk_binding fn body =
                           match a.exp_desc with
                           | Texp_function _ -> order_sensitive_lambda a
                           (* opaque function value: conservatively
-                             order-sensitive (wrappers like Hashq.iter) *)
+                             order-sensitive (a wrapper like
+                             [let each h f = Hashtbl.iter f h]) *)
                           | _ -> true
                         in
                         if sensitive then
@@ -312,28 +427,48 @@ let walk_binding fn body =
     List.iter
       (fun ln -> fn.fn_direct <- (UnorderedIter, ln) :: fn.fn_direct)
       !walk_candidates;
+  (* the release lives in [Fun.protect ~finally], so no exception path
+     leaks the lock *)
+  if not (List.exists (fun (r, _) -> r = "Fun.protect") fn.fn_refs) then
+    List.iter
+      (fun (_, ln) ->
+        site "lock-protect" ln
+          "Lock.acquire without Fun.protect: an exception path can leak \
+           the lock")
+      fn.fn_acquires;
   fn.fn_refs <- List.rev fn.fn_refs;
   fn.fn_strings <- List.rev fn.fn_strings;
   fn.fn_direct <- List.rev fn.fn_direct;
-  fn.fn_acquires <- List.rev fn.fn_acquires
+  fn.fn_acquires <- List.rev fn.fn_acquires;
+  fn.fn_sites <- List.rev fn.fn_sites
 
-let collect_binding facts ~unit_name ~file ~prefix (vb : value_binding) =
-  let line = vb.vb_loc.Location.loc_start.Lexing.pos_lnum in
-  let base =
-    match vb.vb_pat.pat_desc with
-    | Tpat_var (id, _) -> Ident.name id
-    | _ -> "<entry:" ^ string_of_int line ^ ">"
-  in
+let collect_binding facts ~unit_name ~file ~prefix ~line ~base body =
   let fn = make_fn ~name:(prefix ^ "." ^ base) ~unit_name ~file ~line in
-  walk_binding fn vb.vb_expr;
+  walk_binding fn body;
   add_fn facts fn
+
+let entry_name line = "<entry:" ^ string_of_int line ^ ">"
 
 let rec load_items facts ~unit_name ~file ~prefix items =
   List.iter
     (fun (si : structure_item) ->
       match si.str_desc with
       | Tstr_value (_, vbs) ->
-          List.iter (collect_binding facts ~unit_name ~file ~prefix) vbs
+          List.iter
+            (fun vb ->
+              let line = vb.vb_loc.Location.loc_start.Lexing.pos_lnum in
+              let base =
+                match vb.vb_pat.pat_desc with
+                | Tpat_var (id, _) -> Ident.name id
+                | _ -> entry_name line
+              in
+              collect_binding facts ~unit_name ~file ~prefix ~line ~base
+                vb.vb_expr)
+            vbs
+      | Tstr_eval (e, _) ->
+          let line = line_of e in
+          collect_binding facts ~unit_name ~file ~prefix ~line
+            ~base:(entry_name line) e
       | Tstr_module mb -> load_module facts ~unit_name ~file ~prefix mb
       | Tstr_recmodule mbs ->
           List.iter (load_module facts ~unit_name ~file ~prefix) mbs
@@ -347,7 +482,7 @@ and load_module facts ~unit_name ~file ~prefix mb =
   let rec strip (me : module_expr) =
     match me.mod_desc with
     | Tmod_structure s -> Some s
-    | Tmod_constraint (me, _, _, _) -> strip me
+    | Tmod_constraint (me, _, _, _) | Tmod_functor (_, me) -> strip me
     | _ -> None
   in
   match strip mb.mb_expr with
@@ -370,30 +505,18 @@ let load_cmt facts path =
       load_structure facts ~unit_name ~file str
   | _ -> ()
 
-(* In-process typechecking for test fixtures (stdlib-only snippets). *)
-let typecheck_initialized = ref false
-
-let load_source facts ~file source =
-  if not !typecheck_initialized then begin
-    Compmisc.init_path ();
-    typecheck_initialized := true
-  end;
-  let env = Compmisc.initial_env () in
-  let lexbuf = Lexing.from_string source in
-  Location.init lexbuf file;
-  let ast = Parse.implementation lexbuf in
-  let tstr, _, _, _, _ = Typemod.type_structure env ast in
-  let unit_name =
-    String.capitalize_ascii
-      (Filename.remove_extension (Filename.basename file))
-  in
-  load_structure facts ~unit_name ~file tstr
+(* The definitions [keep] selects, as their own fact table. *)
+let restrict (facts : facts) keep : facts =
+  let sub = create () in
+  Hashtbl.iter (fun _ fn -> if keep fn then add_fn sub fn) facts;
+  sub
 
 (* ---------------- call-graph plumbing ---------------- *)
 
 (* Same-unit references come out of the typedtree bare ("helper") or
-   partially qualified ("Hashq.iter" inside mr_util.ml); cross-unit
-   ones are already in public wrapper form ("Dcm.Update.push"). *)
+   partially qualified ("Lock.acquire" inside a fixture that defines its
+   own [Lock]); cross-unit ones are already in public wrapper form
+   ("Dcm.Update.push"). *)
 let resolve (facts : facts) fn r =
   if Hashtbl.mem facts r then Some r
   else
@@ -485,47 +608,57 @@ let transitive facts name =
   let eff = compute_effects facts in
   match Hashtbl.find_opt eff name with Some l -> l | None -> []
 
-let entry_points (facts : facts) =
-  let called = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun _ fn ->
-      List.iter (fun g -> Hashtbl.replace called g ()) (callees facts fn))
-    facts;
-  List.filter_map
+(* The reverse call graph: each definition's callers, in name order. *)
+let callers (facts : facts) =
+  let tbl = Hashtbl.create (Hashtbl.length facts) in
+  List.iter
     (fun fn ->
-      if Hashtbl.mem called fn.fn_name then None else Some fn.fn_name)
-    (sorted_fns facts)
-
-(* Shortest call chain [src; ...; dst] via BFS, deterministic because
-   neighbor lists are sorted. *)
-let chain facts ~src ~dst =
-  if src = dst then Some [ src ]
-  else begin
-    let parent = Hashtbl.create 64 in
-    let q = Queue.create () in
-    Hashtbl.replace parent src "";
-    Queue.push src q;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty q) do
-      let n = Queue.pop q in
       List.iter
         (fun g ->
-          if not (Hashtbl.mem parent g) then begin
-            Hashtbl.replace parent g n;
-            if g = dst then found := true else Queue.push g q
-          end)
-        (callees facts (Hashtbl.find facts n))
-    done;
-    if not !found then None
-    else begin
-      let rec back acc n =
-        match Hashtbl.find parent n with
-        | "" -> n :: acc
-        | p -> back (n :: acc) p
+          Hashtbl.replace tbl g
+            (fn.fn_name :: Option.value (Hashtbl.find_opt tbl g) ~default:[]))
+        (callees facts fn))
+    (List.rev (sorted_fns facts));
+  fun n -> Option.value (Hashtbl.find_opt tbl n) ~default:[]
+
+let entry_points (facts : facts) =
+  let callers_of = callers facts in
+  List.filter_map
+    (fun fn -> if callers_of fn.fn_name = [] then Some fn.fn_name else None)
+    (sorted_fns facts)
+
+(* Shortest call chain [entry; ...; dst] from any entry point, by a
+   backward BFS over [callers_of]; deterministic because caller lists
+   are sorted.  A definition only reachable from a caller-less cycle
+   gets the one-element chain [[dst]]. *)
+let chain_to callers_of dst =
+  let next = Hashtbl.create 64 in
+  Hashtbl.replace next dst "";
+  let q = Queue.create () in
+  Queue.push dst q;
+  let rec bfs () =
+    if Queue.is_empty q then None
+    else
+      let n = Queue.pop q in
+      match callers_of n with
+      | [] -> Some n
+      | cs ->
+          List.iter
+            (fun c ->
+              if not (Hashtbl.mem next c) then begin
+                Hashtbl.replace next c n;
+                Queue.push c q
+              end)
+            cs;
+          bfs ()
+  in
+  match bfs () with
+  | None -> [ dst ]
+  | Some entry ->
+      let rec forward n =
+        match Hashtbl.find next n with "" -> [ n ] | m -> n :: forward m
       in
-      Some (back [] dst)
-    end
-  end
+      forward entry
 
 (* ---------------- findings ---------------- *)
 
@@ -536,10 +669,6 @@ type finding = {
   f_msg : string;
   f_chain : string list;
 }
-
-type suppress = rule:string -> kind:string -> file:string -> line:int -> bool
-
-let no_suppress ~rule:_ ~kind:_ ~file:_ ~line:_ = false
 
 let pp_finding f =
   let chain =
@@ -555,61 +684,80 @@ let sort_findings fs =
          compare (a.f_file, a.f_line, a.f_rule, a.f_msg)
            (b.f_file, b.f_line, b.f_rule, b.f_msg))
 
-(* deep-effect: every entry point that can reach a direct wall-clock /
-   global-random / unordered-iter site, reported at the site with the
-   chain from the entry.  Suppression is judged at the site (fix or
-   allow the source, and every path through it clears). *)
-let effect_findings ?(suppress = no_suppress) (facts : facts) =
-  discharge_sorted_walks facts;
-  let reportable = function
-    | WallClock | GlobalRandom | UnorderedIter -> true
-    | Io | TakesLock _ -> false
-  in
-  let entries = entry_points facts in
-  let sources =
-    List.filter_map
-      (fun fn ->
-        let sites =
-          List.filter (fun (e, _) -> reportable e) fn.fn_direct
-        in
-        if sites = [] then None else Some (fn, sites))
-      (sorted_fns facts)
-  in
+(* The per-definition rules, at their sites. *)
+let site_findings (facts : facts) =
   List.concat_map
-    (fun entry ->
-      List.concat_map
-        (fun (src, sites) ->
-          match chain facts ~src:entry ~dst:src.fn_name with
-          | None -> []
-          | Some ch ->
-              List.filter_map
-                (fun (e, ln) ->
-                  if
-                    suppress ~rule:"deep-effect" ~kind:(effect_name e)
-                      ~file:src.fn_file ~line:ln
-                  then None
-                  else
-                    Some
-                      {
-                        f_rule = "deep-effect";
-                        f_file = src.fn_file;
-                        f_line = ln;
-                        f_msg =
-                          Printf.sprintf
-                            "%s reaches entry point %s (in %s)"
-                            (effect_name e) entry src.fn_name;
-                        f_chain = ch;
-                      })
-                (* one finding per effect kind per source fn *)
-                (List.sort_uniq compare
-                   (List.map
-                      (fun (e, _) ->
-                        ( e,
-                          List.assoc e sites ))
-                      sites)))
-        sources)
-    entries
+    (fun fn ->
+      List.map
+        (fun (rule, line, msg) ->
+          { f_rule = rule; f_file = fn.fn_file; f_line = line; f_msg = msg;
+            f_chain = [] })
+        fn.fn_sites)
+    (sorted_fns facts)
   |> sort_findings
+
+let effect_what = function
+  | WallClock -> "wall-clock read; sim code must use the engine clock"
+  | GlobalRandom -> "global Random; use the seeded Sim.Rng"
+  | UnorderedIter ->
+      "hashtable iteration order reaches the result; sort before it escapes"
+  | TakesLock _ -> "lock acquire"
+
+(* [wall-clock], [global-random], [unsorted-fold]: each direct site
+   once, with the shortest chain from an entry point that reaches it.
+   Suppression is judged at the site (fix or allow the source, and every
+   path through it clears). *)
+let effect_findings (facts : facts) =
+  discharge_sorted_walks facts;
+  let callers_of = callers facts in
+  List.concat_map
+    (fun fn ->
+      let sites =
+        List.filter
+          (fun (e, _) -> match e with TakesLock _ -> false | _ -> true)
+          fn.fn_direct
+        |> List.sort_uniq compare
+      in
+      if sites = [] then []
+      else
+        let chain = chain_to callers_of fn.fn_name in
+        List.map
+          (fun (e, line) ->
+            {
+              f_rule = effect_name e;
+              f_file = fn.fn_file;
+              f_line = line;
+              f_msg =
+                Printf.sprintf "%s (in %s, reached from %s)" (effect_what e)
+                  fn.fn_name (List.hd chain);
+              f_chain = chain;
+            })
+          sites)
+    (sorted_fns facts)
+  |> sort_findings
+
+(* The last step for every finding: drop those their file's scope
+   exempts ({!Allow.applies}) or a [lint: allow] covers, then add the
+   malformed and unused allows of [sources], the [(file, text)] of every
+   analyzed file. *)
+let gate ~sources findings =
+  let t = Allow.track sources in
+  let kept =
+    List.filter
+      (fun f ->
+        Allow.applies ~file:f.f_file f.f_rule
+        && not
+             (Allow.suppressed t ~rule:f.f_rule ~file:f.f_file
+                ~line:f.f_line))
+      findings
+  in
+  sort_findings
+    (kept
+    @ List.map
+        (fun (file, line, rule, msg) ->
+          { f_rule = rule; f_file = file; f_line = line; f_msg = msg;
+            f_chain = [] })
+        (Allow.hygiene t))
 
 (* ---------------- static lock-order graph ---------------- *)
 
@@ -718,17 +866,13 @@ let find_cycle edges =
     (fun acc n -> match acc with Some _ -> acc | None -> dfs [] [] n)
     None nodes
 
-let lock_findings ?(suppress = no_suppress) (facts : facts) =
+let lock_findings (facts : facts) =
   let opaque =
     List.concat_map
       (fun fn ->
         List.filter_map
           (fun (c, ln) ->
             if c <> "?" then None
-            else if
-              suppress ~rule:"lock-order" ~kind:"opaque-key"
-                ~file:fn.fn_file ~line:ln
-            then None
             else
               Some
                 {
@@ -756,22 +900,16 @@ let lock_findings ?(suppress = no_suppress) (facts : facts) =
             edges
         in
         let e0 = List.hd evidence in
-        if
-          suppress ~rule:"lock-order" ~kind:"cycle" ~file:e0.le_file
-            ~line:e0.le_line
-        then []
-        else
-          [
-            {
-              f_rule = "lock-order";
-              f_file = e0.le_file;
-              f_line = e0.le_line;
-              f_msg =
-                Printf.sprintf "lock-order cycle: %s"
-                  (String.concat " -> " path);
-              f_chain = List.map (fun e -> e.le_why) evidence;
-            };
-          ]
+        [
+          {
+            f_rule = "lock-order";
+            f_file = e0.le_file;
+            f_line = e0.le_line;
+            f_msg =
+              Printf.sprintf "lock-order cycle: %s" (String.concat " -> " path);
+            f_chain = List.map (fun e -> e.le_why) evidence;
+          };
+        ]
   in
   sort_findings (opaque @ cycle)
 
@@ -800,7 +938,7 @@ let proto_finding ?(chain = []) facts ~rule name msg =
 (* Every opcode must be referenced from at least [min_refs] distinct
    definitions (in a request/reply protocol: the sender and the
    dispatch arm) and appear as a table cell in the doc. *)
-let proto_op_findings ?(suppress = no_suppress) (facts : facts) ~doc
+let proto_op_findings (facts : facts) ~doc
     ?(min_refs = 2) ops =
   List.concat_map
     (fun (name, value) ->
@@ -830,16 +968,12 @@ let proto_op_findings ?(suppress = no_suppress) (facts : facts) ~doc
       in
       arm @ docd)
     ops
-  |> List.filter (fun f ->
-         not
-           (suppress ~rule:"proto-exhaustive" ~kind:"op" ~file:f.f_file
-              ~line:f.f_line))
   |> sort_findings
 
 (* String verbs (the replication protocol): the literal must occur in
    at least [min_refs] distinct definitions of [unit_name] (client
    sender and server match arm) and in the doc's table. *)
-let proto_verb_findings ?(suppress = no_suppress) (facts : facts) ~doc
+let proto_verb_findings (facts : facts) ~doc
     ~unit_name ?(min_refs = 2) verbs =
   let fns_with_string v =
     List.filter_map
@@ -884,10 +1018,6 @@ let proto_verb_findings ?(suppress = no_suppress) (facts : facts) ~doc
       in
       arm @ docd)
     verbs
-  |> List.filter (fun f ->
-         not
-           (suppress ~rule:"proto-exhaustive" ~kind:"verb" ~file:f.f_file
-              ~line:f.f_line))
   |> sort_findings
 
 (* The [let name = code <idx>] bindings of an error-table unit. *)
@@ -904,7 +1034,7 @@ let err_codes (facts : facts) ~unit_name =
 (* Error codes: named bindings must cover the message table exactly
    (unique indices, in range, no gaps) and each index must have a row
    in the doc's error table. *)
-let proto_err_findings ?(suppress = no_suppress) (facts : facts) ~doc
+let proto_err_findings (facts : facts) ~doc
     ~unit_name ~size () =
   let codes = err_codes facts ~unit_name in
   let mk name msg = proto_finding facts ~rule:"proto-exhaustive" name msg in
@@ -966,12 +1096,7 @@ let proto_err_findings ?(suppress = no_suppress) (facts : facts) ~doc
                   i)))
       codes
   in
-  dups @ range @ gaps @ docd
-  |> List.filter (fun f ->
-         not
-           (suppress ~rule:"proto-exhaustive" ~kind:"err" ~file:f.f_file
-              ~line:f.f_line))
-  |> sort_findings
+  sort_findings (dups @ range @ gaps @ docd)
 
 (* ---------------- JSON report ---------------- *)
 

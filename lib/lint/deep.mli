@@ -1,8 +1,9 @@
-(** Interprocedural analysis over [.cmt] typed ASTs: effect
-    propagation along the whole-program call graph, the static
-    lock-order graph, and protocol exhaustiveness — the engine behind
-    [moira_lint --deep].  See the header of [deep.ml] for the design;
-    [Deep_moira] binds it to this repository's tree. *)
+(** The static analyzer behind [moira_lint], over [.cmt] typed ASTs:
+    per-definition rules, effect propagation along the whole-program
+    call graph, the static lock-order graph, and protocol
+    exhaustiveness.  See the header of [deep.ml] for the rules and the
+    suppression syntax; [Deep_moira] binds it to this repository's
+    tree. *)
 
 type effect_ =
   | WallClock  (** [Unix.gettimeofday]/[Sys.time]/Gc measurement reads *)
@@ -10,14 +11,15 @@ type effect_ =
   | UnorderedIter
       (** a [Hashtbl.fold]/[iter] accumulating order-sensitively with no
           sort in the same definition *)
-  | Io  (** stdout/stderr/channel/Vfs writes (informational) *)
   | TakesLock of string  (** acquires a lock of this class *)
 
 val effect_name : effect_ -> string
+(** The rule id an effect is reported under ([UnorderedIter] ->
+    ["unsorted-fold"]). *)
 
 (** Per-definition facts extracted from the typedtree.  One record per
-    toplevel [let] (nested lets are attributed to their enclosing
-    toplevel binding); [fn_name] is fully qualified
+    toplevel [let] or expression (nested lets are attributed to their
+    enclosing toplevel binding); [fn_name] is fully qualified
     (["Dcm.Manager.host_phase"]). *)
 type fn = {
   fn_name : string;
@@ -29,6 +31,8 @@ type fn = {
   mutable fn_direct : (effect_ * int) list;
   mutable fn_acquires : (string * int) list;
   mutable fn_code_idx : int option;
+  mutable fn_sites : (string * int * string) list;
+      (** per-definition rule findings: rule id, line, message *)
 }
 
 type facts = (string, fn) Hashtbl.t
@@ -43,19 +47,24 @@ val make_fn :
 val load_cmt : facts -> string -> unit
 (** Load one [.cmt] file's implementation (interfaces are skipped). *)
 
-val load_source : facts -> file:string -> string -> unit
-(** Typecheck a source buffer in-process against the initial (stdlib)
-    environment and load it — fixture support for tests.
-    @raise Typemod errors / syntax errors on bad fixtures. *)
+val load_structure :
+  facts -> unit_name:string -> file:string -> Typedtree.structure -> unit
+(** Load a typechecked structure as unit [unit_name] of [file] (test
+    fixtures typecheck snippets in-process and load them here). *)
 
-val key_class : string -> string
-(** ["service:zephyr"] -> ["service"] (prefix before [':']). *)
+val norm_path : string -> string
+(** A referenced path as facts name it: ["Stdlib.List.sort"] ->
+    ["List.sort"], ["Dcm__Manager.run"] -> ["Dcm.Manager.run"], and a
+    wrapped library's alias-module path ["Lint__.Deep.create"] ->
+    ["Lint.Deep.create"]. *)
 
-val resolve : facts -> fn -> string -> string option
-(** Resolve a reference as the call graph does: exact name first, then
-    qualified by the referring definition's unit. *)
+val restrict : facts -> (fn -> bool) -> facts
+(** The selected definitions as their own fact table. *)
 
 val callees : facts -> fn -> string list
+(** Resolved references, sorted: exact name first, then qualified by
+    the referring definition's unit. *)
+
 val refs_to : facts -> string -> string list
 
 (** Every definition, ordered by name (deterministic iteration). *)
@@ -63,9 +72,6 @@ val sorted_fns : facts -> fn list
 val transitive : facts -> string -> effect_ list
 val entry_points : facts -> string list
 (** Definitions no other definition in the graph references. *)
-
-val chain : facts -> src:string -> dst:string -> string list option
-(** Shortest call chain from [src] to [dst], inclusive. *)
 
 type finding = {
   f_rule : string;
@@ -75,18 +81,22 @@ type finding = {
   f_chain : string list;
 }
 
-(** Suppression callback: [rule] is the deep rule id, [kind] the
-    sub-kind (the effect name, ["cycle"], ["op"], ...), [file]/[line]
-    the site a [lint: allow] would have to cover. *)
-type suppress = rule:string -> kind:string -> file:string -> line:int -> bool
-
 val pp_finding : finding -> string
 
-val effect_findings : ?suppress:suppress -> facts -> finding list
-(** [deep-effect]: one finding per (entry point, source definition,
-    effect kind) triple for {!WallClock}/{!GlobalRandom}/
-    {!UnorderedIter}, located at the direct site, carrying the call
-    chain from the entry. *)
+val site_findings : facts -> finding list
+(** The per-definition rules ([obj-magic], [swallow-exn],
+    [lock-protect], [schema-ref], [printf-in-lib]) at their sites. *)
+
+val effect_findings : facts -> finding list
+(** [wall-clock], [global-random], [unsorted-fold]: one finding per
+    direct site, carrying the shortest call chain from an entry point
+    (just the definition when only a caller-less cycle reaches it). *)
+
+val gate : sources:(string * string) list -> finding list -> finding list
+(** Every finding's last step: drop those outside the rule's file scope
+    or covered by a [lint: allow], then add [bad-allow]/[unused-allow]
+    for the annotations in [sources] ([(file, text)] of every analyzed
+    file).  Sorted. *)
 
 type lock_edge = {
   le_from : string;
@@ -103,7 +113,7 @@ val lock_edges : facts -> lock_edge list
     an over-approximation — soundness (containing every runtime edge)
     is what the sanitizer cross-check relies on. *)
 
-val lock_findings : ?suppress:suppress -> facts -> finding list
+val lock_findings : facts -> finding list
 (** [lock-order]: acquires whose key string cannot be classified
     statically, plus any cycle in {!lock_edges}. *)
 
@@ -112,7 +122,6 @@ val doc_has_cell : string -> string -> bool
     value (cells are [|]-split and trimmed). *)
 
 val proto_op_findings :
-  ?suppress:suppress ->
   facts ->
   doc:string ->
   ?min_refs:int ->
@@ -123,7 +132,6 @@ val proto_op_findings :
     dispatch arm) distinct definitions and appear as a cell in [doc]. *)
 
 val proto_verb_findings :
-  ?suppress:suppress ->
   facts ->
   doc:string ->
   unit_name:string ->
@@ -137,7 +145,6 @@ val err_codes : facts -> unit_name:string -> (string * int) list
 (** The [let name = code <idx>] bindings of an error-table unit. *)
 
 val proto_err_findings :
-  ?suppress:suppress ->
   facts ->
   doc:string ->
   unit_name:string ->
@@ -148,7 +155,6 @@ val proto_err_findings :
     [size], and each present in [doc]'s table. *)
 
 val json_str : string -> string
-val json_of_finding : finding -> string
 
 val report_json :
   findings:finding list -> info:(string * string) list -> string

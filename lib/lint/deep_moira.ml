@@ -6,8 +6,7 @@
    which PROTOCOL.md sections document them, and how to spin the
    simulated chaos day whose sanitizer-observed lock acquisitions
    cross-check the static lock-order graph.  The driver is
-   [bin/moira_lint.ml --deep]; the suppression syntax is [Lint]'s
-   [lint: allow <rule> -- <reason>] with the deep rule ids. *)
+   [bin/moira_lint.ml]. *)
 
 (* ---------------- .cmt discovery ---------------- *)
 
@@ -18,13 +17,18 @@ let rec cmt_files path =
   else if Filename.check_suffix path ".cmt" then [ path ]
   else []
 
-let load_tree facts build_dir =
-  let files =
-    cmt_files (Filename.concat build_dir "lib")
-    @ cmt_files (Filename.concat build_dir "bin")
-  in
-  List.iter (Deep.load_cmt facts) files;
-  List.length files
+(* The system proper, then the trees that exercise it.  Every rule runs
+   over all four; the lock-order graph and its sanitizer cross-check
+   over the system only: test code contends for locks on purpose, and
+   its edges would let the "observed within static" check pass on edges
+   the system itself never takes. *)
+let system_roots = [ "lib"; "bin" ]
+let roots = system_roots @ [ "test"; "bench" ]
+
+let in_system (fn : Deep.fn) =
+  List.exists
+    (fun r -> String.starts_with ~prefix:(r ^ "/") fn.Deep.fn_file)
+    system_roots
 
 (* ---------------- protocol model ---------------- *)
 
@@ -81,13 +85,6 @@ let section md title =
   in
   String.concat "\n" (skip lines)
 
-(* ---------------- suppression (lint: allow) ---------------- *)
-
-type allow_state = {
-  als_by_file : (string, Allow.allow list) Hashtbl.t;
-  src_prefix : string;
-}
-
 let read_file path =
   try
     let ic = open_in_bin path in
@@ -96,75 +93,6 @@ let read_file path =
     close_in ic;
     Some s
   with Sys_error _ -> None
-
-(* Scan every source file the facts mention, eagerly, so stale allows
-   in finding-free files are still detected. *)
-let scan_allow_state ~src_prefix (facts : Deep.facts) =
-  let st = { als_by_file = Hashtbl.create 64; src_prefix } in
-  List.iter
-    (fun (fn : Deep.fn) ->
-      if not (Hashtbl.mem st.als_by_file fn.Deep.fn_file) then
-        match read_file (src_prefix ^ fn.Deep.fn_file) with
-        | Some src ->
-            Hashtbl.replace st.als_by_file fn.Deep.fn_file
-              (fst (Allow.scan_allows src))
-        | None -> Hashtbl.replace st.als_by_file fn.Deep.fn_file [])
-    (Deep.sorted_fns facts);
-  st
-
-(* The deep effects map onto the syntactic pass's per-file allowlist:
-   a file allowed to read the wall clock is allowed to leak it. *)
-let base_rule_of_kind = function
-  | "wall-clock" -> Some "wall-clock"
-  | "global-random" -> Some "global-random"
-  | "unordered-iter" -> Some "unsorted-fold"
-  | _ -> None
-
-let suppress_of st : Deep.suppress =
- fun ~rule ~kind ~file ~line ->
-  (match base_rule_of_kind kind with
-  | Some base -> Allow.file_allowed ~file base
-  | None -> false)
-  || Allow.file_allowed ~file rule
-  ||
-  match Hashtbl.find_opt st.als_by_file file with
-  | None -> false
-  | Some allows -> (
-      match
-        List.find_opt
-          (fun (a : Allow.allow) ->
-            a.Allow.a_rule = rule
-            && (a.Allow.a_line = line
-               || (a.Allow.a_solo && a.Allow.a_line = line - 1)))
-          allows
-      with
-      | Some a ->
-          a.Allow.a_used <- true;
-          true
-      | None -> false)
-
-(* Stale deep-rule allows, after every check has had its chance to use
-   them (the syntactic pass skips these — they are ours to keep honest). *)
-let stale_allow_findings st =
-  Hashtbl.fold
-    (fun file allows acc ->
-      List.filter_map
-        (fun (a : Allow.allow) ->
-          if Allow.is_deep_rule a.Allow.a_rule && not a.Allow.a_used then
-            Some
-              {
-                Deep.f_rule = "unused-allow";
-                f_file = file;
-                f_line = a.Allow.a_line;
-                f_msg =
-                  Printf.sprintf "allow %s suppresses nothing" a.Allow.a_rule;
-                f_chain = [];
-              }
-          else None)
-        allows
-      @ acc)
-    st.als_by_file []
-  |> List.sort compare
 
 (* ---------------- chaos-day cross-check ---------------- *)
 
@@ -256,9 +184,11 @@ let json_strings l =
 let run ?(build_dir = "_build/default") ?(src_prefix = "")
     ?(protocol_md = "PROTOCOL.md") ?(chaos = true) () =
   let facts = Deep.create () in
-  ignore (load_tree facts build_dir);
-  let st = scan_allow_state ~src_prefix facts in
-  let suppress = suppress_of st in
+  List.iter
+    (fun root ->
+      List.iter (Deep.load_cmt facts)
+        (cmt_files (Filename.concat build_dir root)))
+    roots;
   let md =
     Option.value (read_file (src_prefix ^ protocol_md)) ~default:""
   in
@@ -270,27 +200,33 @@ let run ?(build_dir = "_build/default") ?(src_prefix = "")
   let verbs_doc = section md "replication service" in
   let err_doc = section md "Error codes" in
   let err_unit = "Moira.Mr_err" in
+  let system = Deep.restrict facts in_system in
   let static_edges =
     List.map
       (fun (e : Deep.lock_edge) -> (e.Deep.le_from, e.Deep.le_to))
-      (Deep.lock_edges facts)
+      (Deep.lock_edges system)
     |> List.sort_uniq compare
   in
   let observed = if chaos then observed_edges_chaos () else [] in
-  let findings =
-    Deep.effect_findings ~suppress facts
-    @ Deep.lock_findings ~suppress facts
-    @ Deep.proto_op_findings ~suppress facts ~doc:ops_doc (ops ())
-    @ Deep.proto_verb_findings ~suppress facts ~doc:verbs_doc
-        ~unit_name:"Relation.Replicate" verbs
-    @ Deep.proto_err_findings ~suppress facts ~doc:err_doc
-        ~unit_name:err_unit
-        ~size:(Comerr.Com_err.size Moira.Mr_err.table)
-        ()
-    @ cross_check_findings ~static:static_edges ~observed
+  let sources =
+    List.sort_uniq compare
+      (List.map (fun (fn : Deep.fn) -> fn.Deep.fn_file) (Deep.sorted_fns facts))
+    |> List.map (fun file ->
+           (file, Option.value (read_file (src_prefix ^ file)) ~default:""))
   in
-  (* stale allows last: every check above has marked its uses *)
-  let findings = findings @ stale_allow_findings st in
+  let findings =
+    Deep.gate ~sources
+      (Deep.site_findings facts
+      @ Deep.effect_findings facts
+      @ Deep.lock_findings system
+      @ Deep.proto_op_findings facts ~doc:ops_doc (ops ())
+      @ Deep.proto_verb_findings facts ~doc:verbs_doc
+          ~unit_name:"Relation.Replicate" verbs
+      @ Deep.proto_err_findings facts ~doc:err_doc ~unit_name:err_unit
+          ~size:(Comerr.Com_err.size Moira.Mr_err.table)
+          ()
+      @ cross_check_findings ~static:static_edges ~observed)
+  in
   let unreferenced =
     List.filter_map
       (fun (name, _) ->

@@ -1,8 +1,8 @@
-(** The {!Deep} engine bound to this repository: [.cmt] discovery under
-    the dune build dir, the wire-protocol model (opcode values read off
-    the linked libraries), PROTOCOL.md section lookup, [lint: allow]
-    suppression via {!Lint}, and the simulated-chaos-day sanitizer
-    cross-check.  Driven by [bin/moira_lint.ml --deep]. *)
+(** The {!Deep} analyzer bound to this repository: [.cmt] discovery
+    under the dune build dir, the wire-protocol model (opcode values
+    read off the linked libraries), PROTOCOL.md section lookup, and the
+    simulated-chaos-day sanitizer cross-check.  Driven by
+    [bin/moira_lint.ml]. *)
 
 type report = {
   r_findings : Deep.finding list;  (** everything that should gate CI *)
@@ -17,6 +17,9 @@ type report = {
   r_json : string;  (** the machine-readable report *)
 }
 
+val cmt_files : string -> string list
+(** Every [.cmt] under a directory, in sorted order. *)
+
 val run :
   ?build_dir:string ->
   ?src_prefix:string ->
@@ -24,8 +27,10 @@ val run :
   ?chaos:bool ->
   unit ->
   report
-(** Analyze [lib/] and [bin/].  [build_dir] (default ["_build/default"])
-    must hold [.cmt] artifacts — build with [dune build @check] first.
+(** Analyze [lib/], [bin/], [test/] and [bench/]; the lock-order graph
+    and its cross-check cover [lib/] and [bin/] only.  [build_dir]
+    (default ["_build/default"]) must hold [.cmt] artifacts — build
+    with [dune build @check] first.
     [src_prefix] is prepended to source paths when reading allow
     comments (tests run from inside the sandbox).  [chaos:false] skips
     the simulated day (the cross-check then trivially passes). *)

@@ -47,46 +47,3 @@ let nfsphys_status_to_string status =
       ]
   in
   match bits with [] -> "none" | _ -> String.concat "+" bits
-
-module Hashq = struct
-  type 'a t = (string, 'a) Hashtbl.t
-
-  let create hint : 'a t = Hashtbl.create hint
-  let store t k v = Hashtbl.replace t k v
-  let fetch t k = Hashtbl.find_opt t k
-  let remove t k = Hashtbl.remove t k
-  (* key order, not hash order: callers print and fold over this *)
-  let iter t f =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    |> List.iter (fun (k, v) -> f k v)
-  let length t = Hashtbl.length t
-end
-
-module Fifo = struct
-  type 'a t = { mutable front : 'a list; mutable back : 'a list }
-
-  let create () = { front = []; back = [] }
-  let put t x = t.back <- x :: t.back
-
-  let normalize t =
-    if t.front = [] then begin
-      t.front <- List.rev t.back;
-      t.back <- []
-    end
-
-  let get t =
-    normalize t;
-    match t.front with
-    | [] -> None
-    | x :: rest ->
-        t.front <- rest;
-        Some x
-
-  let peek t =
-    normalize t;
-    match t.front with [] -> None | x :: _ -> Some x
-
-  let length t = List.length t.front + List.length t.back
-  let is_empty t = t.front = [] && t.back = []
-end

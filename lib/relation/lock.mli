@@ -22,7 +22,7 @@ type event =
       (** A successful acquisition; [held] is every {e other} key the
           owner already held, sorted.  Not a violation — the sanitizer
           folds these into the observed lock-order graph that
-          [moira_lint --deep] cross-checks against the static one. *)
+          [moira_lint] cross-checks against the static one. *)
 
 val set_monitor : t -> (event -> unit) option -> unit
 (** Install (or clear) a discipline monitor.  Used by the opt-in

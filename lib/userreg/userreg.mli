@@ -36,7 +36,7 @@ val make_authenticator :
 (** {1 The registration server} *)
 
 (** The three request numbers on the userreg UDP port (PROTOCOL.md's
-    registration section; checked by [moira_lint --deep]). *)
+    registration section; checked by [moira_lint]). *)
 
 val op_verify : int
 val op_grab : int

@@ -1,17 +1,14 @@
-(* The interprocedural pass ([Lint.Deep] / [Lint.Deep_moira]): effect
-   propagation with call chains, the static lock-order graph and its
-   agreement with the runtime sanitizer over a simulated chaos day, and
-   the protocol exhaustiveness checks.  Source fixtures are typechecked
-   in-process ([Deep.load_source]), so they only use the stdlib; graph
-   fixtures are hand-built fact records. *)
+(* The analyzer's engine ([Lint.Deep] / [Lint.Deep_moira]): effect
+   propagation with call chains, name resolution, the static lock-order
+   graph and its agreement with the runtime sanitizer over a simulated
+   chaos day, and the protocol exhaustiveness checks.  Source fixtures
+   are typechecked in-process ([Lint_fixture.load_source]), so they only
+   use the stdlib; graph fixtures are hand-built fact records. *)
 
 module Deep = Lint.Deep
 module Deep_moira = Lint.Deep_moira
 
-let load name src =
-  let facts = Deep.create () in
-  Deep.load_source facts ~file:(name ^ ".ml") src;
-  facts
+let load name src = Lint_fixture.load ~file:(name ^ ".ml") src
 
 let rules fs = List.map (fun f -> f.Deep.f_rule) fs
 let lines fs = List.map (fun f -> f.Deep.f_line) fs
@@ -26,7 +23,7 @@ let has_msg fs sub =
       go 0)
     fs
 
-(* ---- deep-effect ---- *)
+(* ---- effect reach ---- *)
 
 let test_effect_chain () =
   let facts =
@@ -43,7 +40,7 @@ let test_effect_chain () =
     (List.map Deep.effect_name (Deep.transitive facts "Fix_eff.top"));
   match Deep.effect_findings facts with
   | [ f ] ->
-      Alcotest.(check string) "rule" "deep-effect" f.Deep.f_rule;
+      Alcotest.(check string) "rule" "wall-clock" f.Deep.f_rule;
       Alcotest.(check int) "located at the Sys.time site" 1 f.Deep.f_line;
       Alcotest.(check (list string))
         "full call chain from the entry"
@@ -59,12 +56,16 @@ let test_effect_kinds () =
        let main () = shout (string_of_int (roll ()))\n"
   in
   Alcotest.(check (list string))
-    "random and io both propagate" [ "global-random"; "io" ]
+    "random propagates" [ "global-random" ]
     (List.map Deep.effect_name (Deep.transitive facts "Fix_kinds.main"));
-  (* io is informational: only the random reach is a finding *)
   Alcotest.(check (list string))
-    "one deep-effect finding" [ "deep-effect" ]
-    (rules (Deep.effect_findings facts))
+    "one effect finding, under its own id" [ "global-random" ]
+    (rules (Deep.effect_findings facts));
+  (* printing is a per-definition site, not an effect: it does not
+     travel to callers *)
+  Alcotest.(check (list string))
+    "stdout print is a site" [ "printf-in-lib" ]
+    (rules (Deep.site_findings facts))
 
 let test_unordered_iter () =
   let facts =
@@ -81,18 +82,50 @@ let test_unordered_iter () =
      conservatively flagged; both sorted variants (direct, and via the
      one-call-away helper) are discharged *)
   Alcotest.(check (list int)) "bare fold and opaque wrapper" [ 1; 6 ] (lines fs);
-  Alcotest.(check bool) "kind is unordered-iter" true
-    (has_msg fs "unordered-iter")
+  Alcotest.(check (list string)) "reported as unsorted-fold"
+    [ "unsorted-fold"; "unsorted-fold" ] (rules fs)
 
 let test_effect_suppression () =
-  let facts =
-    load "fix_sup" "let now () = Sys.time ()\nlet top () = now ()\n"
+  let src =
+    "let now () = Sys.time ()  (*" ^ " lint: allow wall-clock -- fixture *)\n\
+     let top () = now ()\n"
   in
-  let suppress ~rule ~kind ~file:_ ~line =
-    rule = "deep-effect" && kind = "wall-clock" && line = 1
+  let facts = load "fix_sup" src in
+  Alcotest.(check int) "one site before the gate" 1
+    (List.length (Deep.effect_findings facts));
+  Alcotest.(check int) "suppressed at the site, for every caller" 0
+    (List.length
+       (Deep.gate
+          ~sources:[ ("fix_sup.ml", src) ]
+          (Deep.effect_findings facts)))
+
+(* A wrapped library with a main module reaches its siblings through
+   the alias module ([Lint__.Deep]); those references must resolve, or
+   the call graph silently loses every edge between them. *)
+let test_wrapped_refs () =
+  Alcotest.(check string) "alias-module path" "Lint.Deep.create"
+    (Deep.norm_path "Lint__.Deep.create");
+  Alcotest.(check string) "unit mangling" "Dcm.Manager.run"
+    (Deep.norm_path "Dcm__Manager.run");
+  Alcotest.(check string) "executable sibling" "Fix.create"
+    (Deep.norm_path "Dune__exe.Fix.create");
+  let facts = Deep.create () in
+  List.iter (Deep.load_cmt facts) (Deep_moira.cmt_files "../lib");
+  let dotted =
+    List.concat_map
+      (fun fn ->
+        List.filter_map
+          (fun (r, _) ->
+            if Lint.Allow.contains_sub r ".." then
+              Some (fn.Deep.fn_name ^ " -> " ^ r)
+            else None)
+          fn.Deep.fn_refs)
+      (Deep.sorted_fns facts)
   in
-  Alcotest.(check int) "suppressed at the site" 0
-    (List.length (Deep.effect_findings ~suppress facts))
+  Alcotest.(check (list string)) "no reference contains .." [] dotted;
+  let run = Hashtbl.find facts "Lint.Deep_moira.run" in
+  Alcotest.(check bool) "Deep_moira.run calls Deep.load_cmt" true
+    (List.mem "Lint.Deep.load_cmt" (Deep.callees facts run))
 
 (* ---- lock order ---- *)
 
@@ -263,7 +296,7 @@ let test_err_codes () =
 let test_json () =
   let f =
     {
-      Deep.f_rule = "deep-effect";
+      Deep.f_rule = "wall-clock";
       f_file = "a.ml";
       f_line = 3;
       f_msg = "quote \" and backslash \\";
@@ -289,6 +322,7 @@ let suite =
     Alcotest.test_case "unordered iter + sort discharge" `Quick
       test_unordered_iter;
     Alcotest.test_case "effect suppression" `Quick test_effect_suppression;
+    Alcotest.test_case "wrapped-library refs resolve" `Quick test_wrapped_refs;
     Alcotest.test_case "lock edges" `Quick test_lock_edges;
     Alcotest.test_case "lock cycle" `Quick test_lock_cycle;
     Alcotest.test_case "opaque lock key" `Quick test_lock_opaque_key;

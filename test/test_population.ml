@@ -71,6 +71,7 @@ let test_pop_load_balanced () =
         Hashtbl.replace counts m
           (1 + Option.value (Hashtbl.find_opt counts m) ~default:0)
       end);
+  (* lint: allow unsorted-fold -- only the length, min and max of the loads are read *)
   let loads = Hashtbl.fold (fun _ n acc -> n :: acc) counts [] in
   Alcotest.(check int) "every PO used"
     (Array.length built.Workload.Population.pop_machines)

@@ -35,34 +35,6 @@ let test_nfsphys_status () =
        (Mrconst.fs_student lor Mrconst.fs_staff));
   Alcotest.(check string) "none" "none" (Mr_util.nfsphys_status_to_string 0)
 
-let test_hashq () =
-  let h = Mr_util.Hashq.create 4 in
-  Mr_util.Hashq.store h "a" 1;
-  Mr_util.Hashq.store h "b" 2;
-  Mr_util.Hashq.store h "a" 3;
-  Alcotest.(check (option int)) "replace" (Some 3) (Mr_util.Hashq.fetch h "a");
-  Alcotest.(check int) "length" 2 (Mr_util.Hashq.length h);
-  Mr_util.Hashq.remove h "a";
-  Alcotest.(check (option int)) "removed" None (Mr_util.Hashq.fetch h "a");
-  let total = ref 0 in
-  Mr_util.Hashq.iter h (fun _ v -> total := !total + v);
-  Alcotest.(check int) "iter" 2 !total
-
-let test_fifo () =
-  let q = Mr_util.Fifo.create () in
-  Alcotest.(check bool) "empty" true (Mr_util.Fifo.is_empty q);
-  Mr_util.Fifo.put q 1;
-  Mr_util.Fifo.put q 2;
-  Mr_util.Fifo.put q 3;
-  Alcotest.(check (option int)) "peek" (Some 1) (Mr_util.Fifo.peek q);
-  Alcotest.(check int) "length" 3 (Mr_util.Fifo.length q);
-  Alcotest.(check (option int)) "fifo 1" (Some 1) (Mr_util.Fifo.get q);
-  Mr_util.Fifo.put q 4;
-  Alcotest.(check (option int)) "fifo 2" (Some 2) (Mr_util.Fifo.get q);
-  Alcotest.(check (option int)) "fifo 3" (Some 3) (Mr_util.Fifo.get q);
-  Alcotest.(check (option int)) "fifo 4" (Some 4) (Mr_util.Fifo.get q);
-  Alcotest.(check (option int)) "drained" None (Mr_util.Fifo.get q)
-
 (* drive a menu with scripted input *)
 let drive menu script =
   let lines = ref script in
@@ -138,8 +110,6 @@ let suite =
     Alcotest.test_case "canonicalize hostname" `Quick test_canonicalize;
     Alcotest.test_case "status strings" `Quick test_status_strings;
     Alcotest.test_case "nfsphys status" `Quick test_nfsphys_status;
-    Alcotest.test_case "hashq" `Quick test_hashq;
-    Alcotest.test_case "fifo" `Quick test_fifo;
     Alcotest.test_case "menu dispatch" `Quick test_menu_dispatch;
     Alcotest.test_case "menu submenu+args" `Quick
       test_menu_submenu_and_args;
