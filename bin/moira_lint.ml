@@ -1,11 +1,14 @@
 (* moira_lint — static analysis gate ([Lint.Deep_moira]).
 
-   Loads the [.cmt] typed ASTs of lib/ bin/ test/ bench/ and runs every
-   rule: per-definition checks, wall-clock / global-random /
-   unsorted-fold reach with call chains, the static lock-order graph
-   cross-checked against a simulated chaos day's runtime sanitizer, and
-   protocol exhaustiveness.  Exits nonzero listing file:line:rule on any
-   finding.  Run from the repo root after [dune build @check].
+   Loads the [.cmt] typed ASTs of lib/ bin/ test/ bench/, plus
+   examples/ and e2ebench/ as reference roots only (no finding is
+   reported in them), and runs every rule: per-definition checks,
+   wall-clock / global-random / unsorted-fold reach with call chains,
+   [dead-def] (a lib/ definition nothing outside lib/ reaches), the
+   static lock-order graph cross-checked against a simulated chaos
+   day's runtime sanitizer, and protocol exhaustiveness.  Exits nonzero
+   listing file:line:rule on any finding.  Run from the repo root after
+   [dune build @check].
    [--json PATH] also writes the machine-readable report; [--no-chaos]
    skips the simulated day (faster, but the soundness cross-check then
    trivially passes). *)

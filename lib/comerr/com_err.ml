@@ -46,7 +46,6 @@ let create_table ~name messages =
   t
 
 let base t = t.base
-let table_name t = t.name
 let size t = Array.length t.messages
 
 let code t i =
@@ -91,4 +90,3 @@ let com_err ~whoami code msg =
 
 let set_com_err_hook f = hook := Some f
 let reset_com_err_hook () = hook := None
-let registered_tables () = List.rev !order

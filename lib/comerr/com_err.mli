@@ -20,9 +20,6 @@ val create_table : name:string -> string array -> table
 val base : table -> int
 (** [base t] is the first error code of table [t]'s reserved range. *)
 
-val table_name : table -> string
-(** [table_name t] is the name [t] was registered under. *)
-
 val size : table -> int
 (** [size t] is the number of messages in [t] — valid code indices are
     [0 .. size t - 1].  The deep lint pass uses it to check that the
@@ -54,6 +51,3 @@ val set_com_err_hook : (whoami:string -> int -> string -> unit) -> unit
 
 val reset_com_err_hook : unit -> unit
 (** Remove any installed hook; {!com_err} prints to [stderr] again. *)
-
-val registered_tables : unit -> table list
-(** All currently registered tables, in registration order. *)

@@ -70,7 +70,7 @@ let group_files mdb =
     ("gid.db", sorted_lines !gid) )
 
 (* grplist.db: colon-separated (group, gid) pairs per active user.
-   [grplist_entries] arrives in login order, which is also line order
+   [grplist_iter] arrives in login order, which is also line order
    (every key is login ^ ".grplist"), so the file assembles in one
    pass with no final sort. *)
 let grplist_file mdb =

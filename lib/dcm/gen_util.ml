@@ -274,13 +274,6 @@ let group_fragments mdb ~users_id ~login =
     pairs;
   (!own, List.rev !frags)
 
-let grplist_entries mdb =
-  let out = ref [] in
-  grplist_iter mdb (fun ~login ~own ~frags ->
-      let pieces = if own = "" then frags else own :: frags in
-      out := (login, String.concat ":" pieces) :: !out);
-  List.rev !out
-
 (* Reference implementation (pre-closure): one BFS with one select per
    list, per user.  Benchmarks measure the speedup against it. *)
 let group_pairs_naive mdb ~users_id ~login =

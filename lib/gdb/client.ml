@@ -75,4 +75,3 @@ let disconnect t =
   end
 
 let is_connected t = t.connected
-let peer t = t.dst

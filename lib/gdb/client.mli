@@ -29,6 +29,3 @@ val disconnect : t -> (unit, error) result
 
 val is_connected : t -> bool
 (** Whether the connection is believed open. *)
-
-val peer : t -> string
-(** The server hostname. *)

@@ -91,4 +91,3 @@ let connections t =
 
 let connection_count t = Hashtbl.length t.conns
 let requests_served t = t.served
-let drop_all_connections t = Hashtbl.reset t.conns

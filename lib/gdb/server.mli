@@ -46,6 +46,3 @@ val connection_count : 'st t -> int
 
 val requests_served : 'st t -> int
 (** Total application requests handled since creation. *)
-
-val drop_all_connections : 'st t -> unit
-(** Forget every connection (server restart). *)

@@ -55,20 +55,11 @@ let parse contents =
     empty
     (String.split_on_char '\n' contents)
 
-let merge a b =
-  Smap.fold
-    (fun key records t ->
-      List.fold_left (fun t r -> add key r t) t records)
-    b a
-
-let load_files files =
-  List.fold_left (fun t f -> merge t (parse f)) empty files
-
 let lookup t key = Option.value (Smap.find_opt key t) ~default:[]
 
 (* Lookup across a stack of per-file databases, in file order: the
-   concatenation equals what [merge]-ing the stack would return, without
-   ever paying the O(total keys) merge. *)
+   concatenation equals a lookup in their union, without ever paying the
+   O(total keys) merge. *)
 let lookup_stacked dbs key = List.concat_map (fun t -> lookup t key) dbs
 
 let resolve_stacked dbs ~name ~ty =

@@ -27,19 +27,13 @@ val parse : string -> t
     are ignored; malformed lines are skipped (BIND is similarly
     forgiving). *)
 
-val merge : t -> t -> t
-(** Union of two databases (later entries append). *)
-
-val load_files : string list -> t
-(** Parse and merge several file contents. *)
-
 val lookup : t -> string -> record list
 (** Raw records for a key ([] if absent). *)
 
 val lookup_stacked : t list -> string -> record list
 (** Raw records for a key across a stack of databases in order: equal
-    to [lookup (load_files ...)] over the same files, without the
-    merge. *)
+    to a {!lookup} in their union (later files' records after earlier
+    ones), without building it. *)
 
 val resolve_stacked : t list -> name:string -> ty:string -> string list
 (** {!resolve} over a stack of per-file databases (see

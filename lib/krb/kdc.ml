@@ -124,8 +124,6 @@ let mk_req t creds =
   in
   frame [ creds.ticket_blob; authenticator ]
 
-let credentials_principal c = c.principal
-
 type server_ctx = {
   service_key : string;
   sclock : unit -> int;

@@ -20,6 +20,9 @@ let rules =
       "lock-order cycle, opaque lock key, or a runtime edge the static \
        graph lacks" );
     ("proto-exhaustive", "opcode/verb/error code without arm or doc row");
+    ( "dead-def",
+      "lib/ definition no root reaches (code outside lib/, toplevel effects)"
+    );
     ("bad-allow", "malformed lint: allow annotation");
     ("unused-allow", "lint: allow annotation that suppresses nothing");
   ]

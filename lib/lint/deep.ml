@@ -36,7 +36,13 @@
    - [lock-order] (an acquisition-order cycle or an acquire whose key
      the analysis cannot classify), [proto-exhaustive] (an opcode, verb
      or error code without both endpoints of a dispatch or its
-     PROTOCOL.md row).
+     PROTOCOL.md row), [dead-def] (a definition no root reaches along
+     the call graph).
+
+   References are resolved through each unit's scope, so every call
+   edge the typedtree shows is kept: submodule-local calls, module
+   aliases, binding operators, functor applications and annotated
+   toplevel bindings included.
 
    Every finding then goes through {!gate}: the rule's file scope, and
    an allow comment — open-comment immediately followed by
@@ -44,17 +50,12 @@
    — on the offending line, or alone on the line directly above.
    Malformed and unused allows are findings themselves. *)
 
-type effect_ =
-  | WallClock
-  | GlobalRandom
-  | UnorderedIter
-  | TakesLock of string
+type effect_ = WallClock | GlobalRandom | UnorderedIter
 
 let effect_name = function
   | WallClock -> "wall-clock"
   | GlobalRandom -> "global-random"
   | UnorderedIter -> "unsorted-fold"
-  | TakesLock c -> "takes-lock:" ^ c
 
 type fn = {
   fn_name : string;  (* fully qualified: "Dcm.Manager.host_phase" *)
@@ -298,8 +299,44 @@ let schema_sites n args =
   else if is column_fns_any then column (List.concat_map literal unlabelled)
   else []
 
+(* ---------------- scope ---------------- *)
+
+(* What the identifiers a unit binds stand for, keyed by
+   [Ident.unique_name] (stamped, so shadowing cannot confuse two
+   bindings): a toplevel value or submodule names its fact or fact
+   prefix ("Obs.Slo.eval_objective", "Obs.Slo"), a module alias its
+   target ("Lint.Deep"), and a functor application the one fact that
+   stands for its whole result ("Sim.Engine.Queue_map"). *)
+type binding = Qualified of string | Opaque of string
+
+type scope = (string, binding) Hashtbl.t
+
+let bind (scope : scope) id b = Hashtbl.replace scope (Ident.unique_name id) b
+
+let binding_name = function Qualified n | Opaque n -> n
+
+(* A path through the unit's scope.  A path rooted at a global unit
+   keeps its written form, normalized; one rooted at a local variable
+   stays bare and never resolves. *)
+let resolve_path (scope : scope) p =
+  let rec go (p : Path.t) =
+    match p with
+    | Pident id -> (
+        match Hashtbl.find_opt scope (Ident.unique_name id) with
+        | Some b -> (b, false)
+        | None -> (Qualified (Ident.name id), Ident.global id))
+    | Pdot (m, s) -> (
+        match go m with
+        | (Opaque _, _) as o -> o
+        | Qualified q, g -> (Qualified (q ^ "." ^ s), g))
+    | Papply (f, _) | Pextra_ty (f, _) -> go f
+  in
+  match go p with Qualified q, true -> Qualified (norm_path q) | b, _ -> b
+
+let ref_name scope p = binding_name (resolve_path scope p)
+
 (* Walk one toplevel binding's body, filling [fn]'s fact lists. *)
-let walk_binding fn body =
+let walk_binding scope fn body =
   (* local [let k = "service:" ^ x] string bindings, for key classing *)
   let locals : (string, string) Hashtbl.t = Hashtbl.create 8 in
   let walk_candidates = ref [] in
@@ -323,8 +360,10 @@ let walk_binding fn body =
           let ln = line_of e in
           (match e.exp_desc with
           | Texp_ident (p, _, _) ->
+              (* rules key on the path as written; the graph on what it
+                 resolves to *)
               let n = norm_path (Path.name p) in
-              fn.fn_refs <- (n, ln) :: fn.fn_refs;
+              fn.fn_refs <- (ref_name scope p, ln) :: fn.fn_refs;
               (match classify_ref n with
               | Some eff -> fn.fn_direct <- (eff, ln) :: fn.fn_direct
               | None -> ());
@@ -335,6 +374,14 @@ let walk_binding fn body =
                   "stdout print inside lib/; route through an Obs log channel"
           | Texp_constant (Asttypes.Const_string (s, _, _)) ->
               fn.fn_strings <- (s, ln) :: fn.fn_strings
+          | Texp_letop { let_; ands; _ } ->
+              List.iter
+                (fun bop ->
+                  fn.fn_refs <-
+                    ( ref_name scope bop.bop_op_path,
+                      bop.bop_loc.Location.loc_start.Lexing.pos_lnum )
+                    :: fn.fn_refs)
+                (let_ :: ands)
           | Texp_try (_, cases) ->
               List.iter
                 (fun c ->
@@ -442,57 +489,105 @@ let walk_binding fn body =
   fn.fn_acquires <- List.rev fn.fn_acquires;
   fn.fn_sites <- List.rev fn.fn_sites
 
-let collect_binding facts ~unit_name ~file ~prefix ~line ~base body =
-  let fn = make_fn ~name:(prefix ^ "." ^ base) ~unit_name ~file ~line in
-  walk_binding fn body;
+let collect_binding facts scope ~unit_name ~file ~line ~name body =
+  let fn = make_fn ~name ~unit_name ~file ~line in
+  walk_binding scope fn body;
   add_fn facts fn
 
 let entry_name line = "<entry:" ^ string_of_int line ^ ">"
 
-let rec load_items facts ~unit_name ~file ~prefix items =
+(* Executables in different directories can share a unit name
+   ([bench/main.ml] and [e2ebench/main.ml] are both [Main]): a clash
+   with another file's definition gets the file appended, so neither
+   fact replaces the other. *)
+let fresh_name (facts : facts) ~file name =
+  match Hashtbl.find_opt facts name with
+  | Some fn when fn.fn_file <> file ->
+      name ^ "@" ^ Filename.remove_extension file
+  | _ -> name
+
+let rec strip_constraint (me : module_expr) =
+  match me.mod_desc with
+  | Tmod_constraint (me, _, _, _) -> strip_constraint me
+  | _ -> me
+
+let rec load_items facts scope ~unit_name ~file ~prefix items =
   List.iter
     (fun (si : structure_item) ->
       match si.str_desc with
       | Tstr_value (_, vbs) ->
-          List.iter
+          (* every name is bound before any body is walked: a recursive
+             group's bodies refer to each other *)
+          List.map
             (fun vb ->
               let line = vb.vb_loc.Location.loc_start.Lexing.pos_lnum in
+              let ids = pat_bound_idents vb.vb_pat in
               let base =
-                match vb.vb_pat.pat_desc with
-                | Tpat_var (id, _) -> Ident.name id
-                | _ -> entry_name line
+                match ids with id :: _ -> Ident.name id | [] -> entry_name line
               in
-              collect_binding facts ~unit_name ~file ~prefix ~line ~base
-                vb.vb_expr)
+              let name = fresh_name facts ~file (prefix ^ "." ^ base) in
+              List.iter (fun id -> bind scope id (Qualified name)) ids;
+              (vb, line, name))
             vbs
+          |> List.iter (fun (vb, line, name) ->
+                 collect_binding facts scope ~unit_name ~file ~line ~name
+                   vb.vb_expr)
       | Tstr_eval (e, _) ->
           let line = line_of e in
-          collect_binding facts ~unit_name ~file ~prefix ~line
-            ~base:(entry_name line) e
-      | Tstr_module mb -> load_module facts ~unit_name ~file ~prefix mb
+          collect_binding facts scope ~unit_name ~file ~line
+            ~name:(fresh_name facts ~file (prefix ^ "." ^ entry_name line))
+            e
+      | Tstr_module mb -> load_module facts scope ~unit_name ~file ~prefix mb
       | Tstr_recmodule mbs ->
-          List.iter (load_module facts ~unit_name ~file ~prefix) mbs
+          List.iter (load_module facts scope ~unit_name ~file ~prefix) mbs
       | _ -> ())
     items
 
-and load_module facts ~unit_name ~file ~prefix mb =
-  let name =
-    match mb.mb_id with Some id -> Ident.name id | None -> "_"
-  in
-  let rec strip (me : module_expr) =
-    match me.mod_desc with
+and load_module facts scope ~unit_name ~file ~prefix mb =
+  let base = match mb.mb_id with Some id -> Ident.name id | None -> "_" in
+  let name = fresh_name facts ~file (prefix ^ "." ^ base) in
+  let bind_as b = Option.iter (fun id -> bind scope id b) mb.mb_id in
+  let rec body (me : module_expr) =
+    match (strip_constraint me).mod_desc with
     | Tmod_structure s -> Some s
-    | Tmod_constraint (me, _, _, _) | Tmod_functor (_, me) -> strip me
+    | Tmod_functor (_, me) -> body me
     | _ -> None
   in
-  match strip mb.mb_expr with
-  | Some s ->
-      load_items facts ~unit_name ~file ~prefix:(prefix ^ "." ^ name)
-        s.str_items
-  | None -> ()
+  match (body mb.mb_expr, (strip_constraint mb.mb_expr).mod_desc) with
+  | Some s, _ ->
+      bind_as (Qualified name);
+      load_items facts scope ~unit_name ~file ~prefix:name s.str_items
+  | None, Tmod_ident (p, _) -> bind_as (resolve_path scope p)
+  | None, Tmod_apply _ ->
+      (* One fact for the application's result, referencing every value
+         of the functor and its arguments that the tree defines
+         ([Key.compare] of [Map.Make (Key)]): using the result is what
+         reaches them. *)
+      bind_as (Opaque name);
+      let rec spine (me : module_expr) =
+        match (strip_constraint me).mod_desc with
+        | Tmod_apply (f, a, _) -> spine f @ spine a
+        | Tmod_ident (p, _) -> [ binding_name (resolve_path scope p) ]
+        | _ -> []
+      in
+      let line = mb.mb_loc.Location.loc_start.Lexing.pos_lnum in
+      let fn = make_fn ~name ~unit_name ~file ~line in
+      fn.fn_refs <-
+        List.concat_map
+          (fun m ->
+            Hashtbl.fold
+              (fun n _ acc ->
+                if String.starts_with ~prefix:(m ^ ".") n then (n, line) :: acc
+                else acc)
+              facts [])
+          (spine mb.mb_expr)
+        |> List.sort compare;
+      add_fn facts fn
+  | None, _ -> ()
 
 let load_structure facts ~unit_name ~file str =
-  load_items facts ~unit_name ~file ~prefix:unit_name str.str_items
+  load_items facts (Hashtbl.create 64) ~unit_name ~file ~prefix:unit_name
+    str.str_items
 
 let load_cmt facts path =
   let cmt = Cmt_format.read_cmt path in
@@ -513,18 +608,12 @@ let restrict (facts : facts) keep : facts =
 
 (* ---------------- call-graph plumbing ---------------- *)
 
-(* Same-unit references come out of the typedtree bare ("helper") or
-   partially qualified ("Lock.acquire" inside a fixture that defines its
-   own [Lock]); cross-unit ones are already in public wrapper form
-   ("Dcm.Update.push"). *)
-let resolve (facts : facts) fn r =
-  if Hashtbl.mem facts r then Some r
-  else
-    let q = fn.fn_unit ^ "." ^ r in
-    if Hashtbl.mem facts q then Some q else None
+(* References are recorded fully qualified through the unit's scope, so
+   one resolves exactly when a definition of that name was loaded. *)
+let resolve (facts : facts) r = if Hashtbl.mem facts r then Some r else None
 
 let callees facts fn =
-  List.filter_map (fun (r, _) -> resolve facts fn r) fn.fn_refs
+  List.filter_map (fun (r, _) -> resolve facts r) fn.fn_refs
   |> List.sort_uniq compare
   |> List.filter (fun g -> g <> fn.fn_name)
 
@@ -538,7 +627,7 @@ let refs_to (facts : facts) name =
   List.filter_map
     (fun fn ->
       if fn.fn_name <> name
-         && List.exists (fun (r, _) -> resolve facts fn r = Some name)
+         && List.exists (fun (r, _) -> resolve facts r = Some name)
               fn.fn_refs
       then Some fn.fn_name
       else None)
@@ -568,20 +657,17 @@ let discharge_sorted_walks (facts : facts) =
           List.filter (fun (e, _) -> e <> UnorderedIter) fn.fn_direct)
     facts
 
-(* Transitive effect sets by fixpoint over the call graph (cycles are
-   fine: iterate until stable). *)
-let compute_effects (facts : facts) =
-  discharge_sorted_walks facts;
-  let eff : (string, effect_ list) Hashtbl.t =
+(* The lock classes each definition acquires, itself or through any
+   callee, by fixpoint over the call graph (cycles are fine: iterate
+   until stable). *)
+let lock_reach (facts : facts) =
+  let eff : (string, string list) Hashtbl.t =
     Hashtbl.create (Hashtbl.length facts)
   in
   Hashtbl.iter
     (fun n fn ->
-      let own =
-        List.map (fun (e, _) -> e) fn.fn_direct
-        @ List.map (fun (c, _) -> TakesLock c) fn.fn_acquires
-      in
-      Hashtbl.replace eff n (List.sort_uniq compare own))
+      Hashtbl.replace eff n
+        (List.sort_uniq compare (List.map fst fn.fn_acquires)))
     facts;
   let changed = ref true in
   while !changed do
@@ -603,10 +689,6 @@ let compute_effects (facts : facts) =
       facts
   done;
   eff
-
-let transitive facts name =
-  let eff = compute_effects facts in
-  match Hashtbl.find_opt eff name with Some l -> l | None -> []
 
 (* The reverse call graph: each definition's callers, in name order. *)
 let callers (facts : facts) =
@@ -701,7 +783,6 @@ let effect_what = function
   | GlobalRandom -> "global Random; use the seeded Sim.Rng"
   | UnorderedIter ->
       "hashtable iteration order reaches the result; sort before it escapes"
-  | TakesLock _ -> "lock acquire"
 
 (* [wall-clock], [global-random], [unsorted-fold]: each direct site
    once, with the shortest chain from an entry point that reaches it.
@@ -712,12 +793,7 @@ let effect_findings (facts : facts) =
   let callers_of = callers facts in
   List.concat_map
     (fun fn ->
-      let sites =
-        List.filter
-          (fun (e, _) -> match e with TakesLock _ -> false | _ -> true)
-          fn.fn_direct
-        |> List.sort_uniq compare
-      in
+      let sites = List.sort_uniq compare fn.fn_direct in
       if sites = [] then []
       else
         let chain = chain_to callers_of fn.fn_name in
@@ -734,6 +810,44 @@ let effect_findings (facts : facts) =
             })
           sites)
     (sorted_fns facts)
+  |> sort_findings
+
+(* [dead-def]: each definition that no root reaches along resolved call
+   edges.  [root] picks the definitions whose use is outside the
+   analyzed library (drivers, tests, benchmarks); a toplevel effect
+   ([let () = ...]) runs when its unit is linked, so it is a root too.
+   Error-table bindings ([let x = code <idx>]) are kept even unused:
+   the wire table must stay gap-free ({!proto_err_findings}). *)
+let dead_findings (facts : facts) ~root =
+  let is_effect fn =
+    String.starts_with ~prefix:"<" (last_component fn.fn_name)
+  in
+  let live = Hashtbl.create (Hashtbl.length facts) in
+  let rec visit n =
+    if not (Hashtbl.mem live n) then begin
+      Hashtbl.replace live n ();
+      match Hashtbl.find_opt facts n with
+      | Some fn -> List.iter visit (callees facts fn)
+      | None -> ()
+    end
+  in
+  let fns = sorted_fns facts in
+  List.iter (fun fn -> if root fn || is_effect fn then visit fn.fn_name) fns;
+  List.filter_map
+    (fun fn ->
+      if Hashtbl.mem live fn.fn_name || fn.fn_code_idx <> None then None
+      else
+        Some
+          {
+            f_rule = "dead-def";
+            f_file = fn.fn_file;
+            f_line = fn.fn_line;
+            f_msg =
+              Printf.sprintf "%s is unreachable from any root; delete it"
+                fn.fn_name;
+            f_chain = [];
+          })
+    fns
   |> sort_findings
 
 (* The last step for every finding: drop those their file's scope
@@ -775,11 +889,9 @@ type lock_edge = {
    class are taken sequentially, never nested (the runtime sanitizer's
    double-acquire check enforces that side). *)
 let lock_edges (facts : facts) =
-  let eff = compute_effects facts in
+  let reach = lock_reach facts in
   let lock_classes_of g =
-    List.filter_map
-      (function TakesLock c -> Some c | _ -> None)
-      (match Hashtbl.find_opt eff g with Some l -> l | None -> [])
+    Option.value (Hashtbl.find_opt reach g) ~default:[]
   in
   let edges = ref [] in
   let add e =
@@ -813,7 +925,7 @@ let lock_edges (facts : facts) =
           List.iter
             (fun (r, l2) ->
               if l2 > l1 then
-                match resolve facts fn r with
+                match resolve facts r with
                 | Some g ->
                     List.iter
                       (fun c2 ->
@@ -935,11 +1047,10 @@ let proto_finding ?(chain = []) facts ~rule name msg =
   in
   { f_rule = rule; f_file = file; f_line = line; f_msg = msg; f_chain = chain }
 
-(* Every opcode must be referenced from at least [min_refs] distinct
+(* Every opcode must be referenced from at least two distinct
    definitions (in a request/reply protocol: the sender and the
    dispatch arm) and appear as a table cell in the doc. *)
-let proto_op_findings (facts : facts) ~doc
-    ?(min_refs = 2) ops =
+let proto_op_findings (facts : facts) ~doc ops =
   List.concat_map
     (fun (name, value) ->
       let refs = refs_to facts name in
@@ -947,14 +1058,14 @@ let proto_op_findings (facts : facts) ~doc
         proto_finding ?chain facts ~rule:"proto-exhaustive" name msg
       in
       let arm =
-        if List.length refs >= min_refs then []
+        if List.length refs >= 2 then []
         else
           [
             mk ~chain:refs
               (Printf.sprintf
                  "opcode %s (%d) referenced from %d definition(s), needs \
-                  >= %d (sender + dispatch arm)"
-                 name value (List.length refs) min_refs);
+                  >= 2 (sender + dispatch arm)"
+                 name value (List.length refs));
           ]
       in
       let docd =
@@ -971,10 +1082,9 @@ let proto_op_findings (facts : facts) ~doc
   |> sort_findings
 
 (* String verbs (the replication protocol): the literal must occur in
-   at least [min_refs] distinct definitions of [unit_name] (client
-   sender and server match arm) and in the doc's table. *)
-let proto_verb_findings (facts : facts) ~doc
-    ~unit_name ?(min_refs = 2) verbs =
+   at least two distinct definitions of [unit_name] (client sender and
+   server match arm) and in the doc's table. *)
+let proto_verb_findings (facts : facts) ~doc ~unit_name verbs =
   let fns_with_string v =
     List.filter_map
       (fun fn ->
@@ -1001,14 +1111,14 @@ let proto_verb_findings (facts : facts) ~doc
           f_msg = msg; f_chain = chain }
       in
       let arm =
-        if List.length where >= min_refs then []
+        if List.length where >= 2 then []
         else
           [
             mk
               (Printf.sprintf
-                 "verb %S appears in %d definition(s) of %s, needs >= %d \
+                 "verb %S appears in %d definition(s) of %s, needs >= 2 \
                   (sender + handler arm)"
-                 v (List.length where) unit_name min_refs)
+                 v (List.length where) unit_name)
               where;
           ]
       in

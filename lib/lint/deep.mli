@@ -11,7 +11,6 @@ type effect_ =
   | UnorderedIter
       (** a [Hashtbl.fold]/[iter] accumulating order-sensitively with no
           sort in the same definition *)
-  | TakesLock of string  (** acquires a lock of this class *)
 
 val effect_name : effect_ -> string
 (** The rule id an effect is reported under ([UnorderedIter] ->
@@ -19,8 +18,8 @@ val effect_name : effect_ -> string
 
 (** Per-definition facts extracted from the typedtree.  One record per
     toplevel [let] or expression (nested lets are attributed to their
-    enclosing toplevel binding); [fn_name] is fully qualified
-    (["Dcm.Manager.host_phase"]). *)
+    enclosing toplevel binding) and per functor application; [fn_name]
+    is fully qualified (["Dcm.Manager.host_phase"]). *)
 type fn = {
   fn_name : string;
   fn_unit : string;
@@ -62,14 +61,15 @@ val restrict : facts -> (fn -> bool) -> facts
 (** The selected definitions as their own fact table. *)
 
 val callees : facts -> fn -> string list
-(** Resolved references, sorted: exact name first, then qualified by
-    the referring definition's unit. *)
+(** The loaded definitions a definition references, sorted.  References
+    are recorded through the unit's scope (submodules, module aliases,
+    binding operators, functor applications), so each names its target
+    fully qualified. *)
 
 val refs_to : facts -> string -> string list
 
 (** Every definition, ordered by name (deterministic iteration). *)
 val sorted_fns : facts -> fn list
-val transitive : facts -> string -> effect_ list
 val entry_points : facts -> string list
 (** Definitions no other definition in the graph references. *)
 
@@ -91,6 +91,12 @@ val effect_findings : facts -> finding list
 (** [wall-clock], [global-random], [unsorted-fold]: one finding per
     direct site, carrying the shortest call chain from an entry point
     (just the definition when only a caller-less cycle reaches it). *)
+
+val dead_findings : facts -> root:(fn -> bool) -> finding list
+(** [dead-def]: every definition not reachable along resolved call
+    edges from a root — a definition [root] selects, or a toplevel
+    effect ([let () = ...]).  Error-table bindings ([let x = code <idx>])
+    are exempt: the wire table must stay gap-free. *)
 
 val gate : sources:(string * string) list -> finding list -> finding list
 (** Every finding's last step: drop those outside the rule's file scope
@@ -122,22 +128,13 @@ val doc_has_cell : string -> string -> bool
     value (cells are [|]-split and trimmed). *)
 
 val proto_op_findings :
-  facts ->
-  doc:string ->
-  ?min_refs:int ->
-  (string * int) list ->
-  finding list
+  facts -> doc:string -> (string * int) list -> finding list
 (** [proto-exhaustive] for numeric opcodes [(qualified name, value)]:
-    each must be referenced from [min_refs] (default 2: sender +
-    dispatch arm) distinct definitions and appear as a cell in [doc]. *)
+    each must be referenced from two distinct definitions (sender +
+    dispatch arm) and appear as a cell in [doc]. *)
 
 val proto_verb_findings :
-  facts ->
-  doc:string ->
-  unit_name:string ->
-  ?min_refs:int ->
-  string list ->
-  finding list
+  facts -> doc:string -> unit_name:string -> string list -> finding list
 (** Same for string verbs, matched as string literals inside
     [unit_name]'s definitions. *)
 

@@ -17,18 +17,21 @@ let rec cmt_files path =
   else if Filename.check_suffix path ".cmt" then [ path ]
   else []
 
-(* The system proper, then the trees that exercise it.  Every rule runs
-   over all four; the lock-order graph and its sanitizer cross-check
-   over the system only: test code contends for locks on purpose, and
-   its edges would let the "observed within static" check pass on edges
-   the system itself never takes. *)
+(* The system proper, the trees that exercise it, and the trees loaded
+   only for the references they make.  Every rule runs over the first
+   four; [examples/] and [e2ebench/] (whose code is not held to the
+   rules) just keep what they call alive for [dead-def].  The lock-order
+   graph and its sanitizer cross-check cover the system only: test code
+   contends for locks on purpose, and its edges would let the "observed
+   within static" check pass on edges the system itself never takes. *)
 let system_roots = [ "lib"; "bin" ]
-let roots = system_roots @ [ "test"; "bench" ]
+let checked_roots = system_roots @ [ "test"; "bench" ]
+let reference_roots = [ "examples"; "e2ebench" ]
 
-let in_system (fn : Deep.fn) =
-  List.exists
-    (fun r -> String.starts_with ~prefix:(r ^ "/") fn.Deep.fn_file)
-    system_roots
+let under roots file =
+  List.exists (fun r -> String.starts_with ~prefix:(r ^ "/") file) roots
+
+let in_system (fn : Deep.fn) = under system_roots fn.Deep.fn_file
 
 (* ---------------- protocol model ---------------- *)
 
@@ -181,16 +184,16 @@ let json_pairs edges =
 let json_strings l =
   "[" ^ String.concat "," (List.map Deep.json_str l) ^ "]"
 
-let run ?(build_dir = "_build/default") ?(src_prefix = "")
-    ?(protocol_md = "PROTOCOL.md") ?(chaos = true) () =
+let run ?(build_dir = "_build/default") ?(src_prefix = "") ?(chaos = true)
+    () =
   let facts = Deep.create () in
   List.iter
     (fun root ->
       List.iter (Deep.load_cmt facts)
         (cmt_files (Filename.concat build_dir root)))
-    roots;
+    (checked_roots @ reference_roots);
   let md =
-    Option.value (read_file (src_prefix ^ protocol_md)) ~default:""
+    Option.value (read_file (src_prefix ^ "PROTOCOL.md")) ~default:""
   in
   let ops_doc =
     section md "Major request numbers"
@@ -211,13 +214,17 @@ let run ?(build_dir = "_build/default") ?(src_prefix = "")
   let sources =
     List.sort_uniq compare
       (List.map (fun (fn : Deep.fn) -> fn.Deep.fn_file) (Deep.sorted_fns facts))
+    |> List.filter (under checked_roots)
     |> List.map (fun file ->
            (file, Option.value (read_file (src_prefix ^ file)) ~default:""))
   in
   let findings =
     Deep.gate ~sources
-      (Deep.site_findings facts
-      @ Deep.effect_findings facts
+      (List.filter
+         (fun (f : Deep.finding) -> not (under reference_roots f.Deep.f_file))
+         (Deep.site_findings facts @ Deep.effect_findings facts)
+      @ Deep.dead_findings facts ~root:(fun fn ->
+            not (under [ "lib" ] fn.Deep.fn_file))
       @ Deep.lock_findings system
       @ Deep.proto_op_findings facts ~doc:ops_doc (ops ())
       @ Deep.proto_verb_findings facts ~doc:verbs_doc

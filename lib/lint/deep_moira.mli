@@ -23,12 +23,13 @@ val cmt_files : string -> string list
 val run :
   ?build_dir:string ->
   ?src_prefix:string ->
-  ?protocol_md:string ->
   ?chaos:bool ->
   unit ->
   report
-(** Analyze [lib/], [bin/], [test/] and [bench/]; the lock-order graph
-    and its cross-check cover [lib/] and [bin/] only.  [build_dir]
+(** Analyze [lib/], [bin/], [test/] and [bench/], with [examples/] and
+    [e2ebench/] loaded as [dead-def] roots only (no finding is reported
+    in them); the lock-order graph and its cross-check cover [lib/] and
+    [bin/] only.  Protocol tables are read from [PROTOCOL.md].  [build_dir]
     (default ["_build/default"]) must hold [.cmt] artifacts — build
     with [dune build @check] first.
     [src_prefix] is prepended to source paths when reading allow

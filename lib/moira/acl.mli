@@ -46,9 +46,6 @@ val query_allowed : Mdb.t -> query:string -> login:string -> bool
     through the ACL list).  A query with no capacls row is allowed to
     nobody (privileged/direct callers bypass this check). *)
 
-val lists_of_user : Mdb.t -> users_id:int -> int list
-(** Every list the user is directly a member of. *)
-
 val expand_users : Mdb.t -> list_id:int -> string list
 (** Every login reachable from the list through any chain of sub-lists
     (cycle-safe), sorted and deduplicated — what the DCM generators use

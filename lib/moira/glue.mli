@@ -13,13 +13,5 @@ val create : ?client:string -> mdb:Mdb.t -> registry:Query.registry -> unit -> t
 val query : t -> name:string -> string list -> (string list list, int) result
 (** Run a query handle directly (no access checks, no network). *)
 
-val query_iter :
-  t -> name:string -> string list -> callback:(string list -> unit) -> int
-(** Callback form, mirroring [mr_query]. *)
-
-val access : t -> name:string -> string list -> int
-(** Access check as the privileged caller (always allowed for known
-    queries; still validates arity). *)
-
 val mdb : t -> Mdb.t
 (** The underlying database context. *)

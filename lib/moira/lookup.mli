@@ -33,9 +33,6 @@ val list_name : Mdb.t -> int -> string option
 val list_row : Mdb.t -> int -> Relation.Value.t array option
 (** Full list row for a list_id. *)
 
-val filesys_id : Mdb.t -> string -> int option
-(** filsys_id for an exact label ([order] 0 row wins if several). *)
-
 val canon_host : string -> string
 (** Canonicalize a hostname: trim and upper-case (section 5.6.3's
     "canonicalize hostname"). *)

@@ -10,7 +10,6 @@ and t = {
 }
 
 let create ~title = { mtitle = title; items = [] }
-let title t = t.mtitle
 
 let add t key entry =
   t.items <- (key, entry) :: List.remove_assoc key t.items;

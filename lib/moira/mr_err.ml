@@ -53,7 +53,6 @@ let table =
     |]
 
 let code = Comerr.Com_err.code table
-let success = 0
 let arg_too_long = code 0
 let args = code 1
 let deadlock = code 2

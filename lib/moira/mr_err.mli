@@ -4,9 +4,6 @@
 val table : Comerr.Com_err.table
 (** The registered table. *)
 
-val success : int
-(** Zero: no error. *)
-
 (** {1 General errors (any query)} *)
 
 val arg_too_long : int

@@ -16,7 +16,6 @@ type t = {
   gdb : conn_state Gdb.Server.t;
   obs : Obs.t;
   clock : unit -> int;  (* engine ms, for handler durations *)
-  slow_query_ms : int;
   read_only : bool;
   (* journal sequence this server's database reflects: the journal head
      on a primary, the replication stream's applied sequence on a
@@ -36,9 +35,6 @@ type t = {
   access_cache : (string, int) Hashtbl.t option;
 }
 
-let registry t = t.registry
-let mdb t = t.mdb
-let queries_served t = Obs.Counter.get t.c_served
 let connection_count t = Gdb.Server.connection_count t.gdb
 
 let access_cache_stats t =
@@ -51,8 +47,11 @@ let access_cache_stats t =
 let cache_key principal name args =
   String.concat "\000" (principal :: name :: args)
 
+(* Handler time, in engine ms, from which a query is logged as slow. *)
+let slow_query_ms = 1000
+
 let create ?(backend = Gdb.Server.Per_server 1500) ?(access_cache = false)
-    ?extra_queries ?obs ?(slow_query_ms = 1000) ?(read_only = false)
+    ?extra_queries ?obs ?(read_only = false)
     ~net ~host ~mdb ~kdc ?(trigger_dcm = fun () -> ()) () =
   (* Default to the net's registry: in a testbed that is [Obs.default],
      in an isolated unit test it is the net's private registry, so two
@@ -161,7 +160,7 @@ let create ?(backend = Gdb.Server.Per_server 1500) ?(access_cache = false)
       (Obs.Histogram.make t.obs ("query." ^ name ^ ".handler_ms"))
       dur;
     if code <> 0 then Obs.Counter.incr t.c_errors;
-    if dur >= t.slow_query_ms then
+    if dur >= slow_query_ms then
       Obs.log t.obs ~channel:"slow_query"
         ~attrs:
           [
@@ -237,7 +236,6 @@ let create ?(backend = Gdb.Server.Per_server 1500) ?(access_cache = false)
       gdb;
       obs;
       clock = Sim.Engine.clock (Netsim.Net.engine net);
-      slow_query_ms;
       c_served = Obs.Counter.make obs "query.served";
       c_errors = Obs.Counter.make obs "query.errors";
       h_handler = Obs.Histogram.make obs "query.handler_ms";
@@ -255,8 +253,8 @@ let create ?(backend = Gdb.Server.Per_server 1500) ?(access_cache = false)
 
 (* ---------------- replication ---------------- *)
 
-let serve_replication ?retain ?max_batch t ~net ~host =
-  Relation.Replicate.serve_primary ?retain ?max_batch ~net ~host
+let serve_replication ?retain t ~net ~host =
+  Relation.Replicate.serve_primary ?retain ~net ~host
     ~journal:(Mdb.journal t.mdb)
     ~snapshot:(fun () -> Relation.Backup.dump (Mdb.db t.mdb))
     ()
@@ -267,12 +265,11 @@ type replica = {
   rep_handle : Relation.Replicate.replica;
 }
 
-let replica_server r = r.rep_server
 let replica_mdb r = r.rep_mdb
 let replica_handle r = r.rep_handle
 
-let create_replica ?backend ?access_cache ?obs ?trace_obs ?slow_query_ms
-    ?(poll_ms = 1_000) ?boot_from_snapshot ~net ~host ~primary ~kdc () =
+let create_replica ?backend ?access_cache ?obs ?trace_obs ?(poll_ms = 1_000)
+    ~net ~host ~primary ~kdc () =
   let engine = Netsim.Net.engine net in
   (* Applying a journal entry pins the database clock to the entry's
      commit time, so modtime/modwith stamps written during replay equal
@@ -290,8 +287,7 @@ let create_replica ?backend ?access_cache ?obs ?trace_obs ?slow_query_ms
       ("repl." ^ String.lowercase_ascii self ^ ".apply_failed")
   in
   let server =
-    create ?backend ?access_cache ?obs ?slow_query_ms ~read_only:true ~net
-      ~host ~mdb ~kdc ()
+    create ?backend ?access_cache ?obs ~read_only:true ~net ~host ~mdb ~kdc ()
   in
   (* Span lane for this replica's applies (a per-host registry in the
      testbed, so the merged trace shows the replica as its own lane). *)
@@ -336,8 +332,7 @@ let create_replica ?backend ?access_cache ?obs ?trace_obs ?slow_query_ms
     Relation.Backup.restore (Mdb.db mdb) files
   in
   let handle =
-    Relation.Replicate.replica ?boot_from_snapshot ~net ~self ~primary
-      ~apply ~install_snapshot ()
+    Relation.Replicate.replica ~net ~self ~primary ~apply ~install_snapshot ()
   in
   server.seq_of <- (fun () -> Relation.Replicate.applied_seq handle);
   Relation.Replicate.start handle engine ~every_ms:poll_ms;

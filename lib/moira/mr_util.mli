@@ -12,11 +12,6 @@ val split_words : string -> string list
 val canonicalize_hostname : string -> string
 (** Alias of {!Lookup.canon_host}: trim and upper-case. *)
 
-val atot : int -> string
-(** Render a unix-format time field for display (decimal seconds —
-    Moira displays raw times; converting to calendar text is the
-    client's business). *)
-
 (** {1 Flag conversion} — "convert between flags integer and
     human-readable string". *)
 
@@ -25,9 +20,6 @@ val user_status_to_string : int -> string
 
 val user_status_of_string : string -> int option
 (** Inverse of {!user_status_to_string} (exact match). *)
-
-val bool_flag_to_string : bool -> string
-(** "on"/"off" for display. *)
 
 val nfsphys_status_to_string : int -> string
 (** Render the nfsphys status bit field ("student+faculty", ...). *)

@@ -25,9 +25,6 @@ val name_ok : string -> bool
 val check_name : string -> (unit, int) result
 (** [Mr_err.bad_char] unless {!name_ok}. *)
 
-val no_wildcard : string -> (unit, int) result
-(** [Mr_err.wildcard] if the argument contains [*] or [?]. *)
-
 val projector :
   Relation.Table.t -> string list -> Relation.Value.t array -> string list
 (** [projector tbl cols] resolves the column offsets once and returns a

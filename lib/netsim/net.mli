@@ -40,13 +40,10 @@ type stats = {
           failure: lost requests, replies to nobody, retries' fuel). *)
 }
 
-val create :
-  ?base_rtt_ms:int -> ?per_kb_ms:int -> ?timeout_ms:int -> ?obs:Obs.t ->
-  Sim.Engine.t -> t
+val create : ?obs:Obs.t -> Sim.Engine.t -> t
 (** A network on the given engine.  Latency model: each successful call
-    advances the clock by [base_rtt_ms] (default 4) plus [per_kb_ms]
-    (default 1) per KiB of payload moved.  A lost message costs the full
-    [timeout_ms] (default 30_000) before the caller sees {!Timeout} —
+    advances the clock by 4 ms plus 1 ms per KiB of payload moved.  A
+    lost message costs a full 30 s before the caller sees {!Timeout} —
     the paper's "reasonable amount of time" guard.
 
     Traffic counters ([net.calls], [net.bytes], per-service

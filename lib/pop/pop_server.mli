@@ -26,10 +26,6 @@ val deliver_local : t -> sender:string -> rcpt:string -> string -> unit
 val mailbox : t -> user:string -> message list
 (** Current contents of a user's box, oldest first. *)
 
-val box_count : t -> int
-(** Number of non-empty mailboxes (the load the serverhosts [value1]
-    fields track). *)
-
 (** {1 Client side} *)
 
 val retrieve :

@@ -22,13 +22,10 @@ val row : Value.t array -> Value.t array
 
 val id : string -> int
 (** Dense id of the canonical string, interning it if new.  Ids count
-    up from 0 in first-seen order and stay stable until {!reset}. *)
+    up from 0 in first-seen order and never change. *)
 
 val of_id : int -> string option
 (** The string behind an id, [None] if the id was never issued. *)
-
-val cardinal : unit -> int
-(** Number of distinct strings pooled. *)
 
 type stats = {
   mutable distinct : int;  (** distinct strings currently pooled *)
@@ -38,9 +35,4 @@ type stats = {
 }
 
 val stats : stats
-(** Live counters (never reset except by {!reset}). *)
-
-val reset : unit -> unit
-(** Empty the pool and zero {!stats}.  Safe at any time: boxes already
-    handed out stay valid; they just no longer dedup against future
-    interns.  Intended for benchmarks wanting per-tier accounting. *)
+(** Live counters (never reset). *)

@@ -4,9 +4,7 @@
 
     Entries are implicitly numbered 1, 2, 3, ... in append order — the
     sequence numbers the replication stream ({!Replicate}) ships to
-    read-only replica servers.  {!clear} resets the numbering, so a
-    primary serving replication must not clear its journal while
-    replicas are subscribed. *)
+    read-only replica servers. *)
 
 type entry = {
   time : int;  (** Clock when the change committed. *)
@@ -52,8 +50,13 @@ val entries_from : t -> seq:int -> entry list
 (** Entries with sequence number strictly greater than [seq], oldest
     first — the batch a replica at high-water [seq] still needs. *)
 
-val clear : t -> unit
-(** Truncate (e.g. after a successful dump).  Resets sequence numbers. *)
+val encode_entry : entry -> string
+(** One entry as one line (no newline) in the backup escape format:
+    [time:who:client:query:ctx:arg1:...:argN] — the format of the
+    server's on-disk journal file and of the replication stream. *)
+
+val decode_entry : string -> (entry, string) result
+(** Parse one {!encode_entry} line; [Error] says what is malformed. *)
 
 val to_lines : t -> string
 (** Serialize, one entry per line in the backup escape format:

@@ -17,31 +17,18 @@ type primary = {
   p_journal : Journal.t;
   p_snapshot : unit -> (string * string) list;
   p_retain : int option;
-  p_max_batch : int;
   p_obs : Obs.t;
   p_fetches : Obs.Counter.counter;
   p_snaps : Obs.Counter.counter;
 }
 
+(* Entries per FETCH reply, at most. *)
+let max_batch = 512
+
 let min_served p =
   match p.p_retain with
   | None -> 0
   | Some r -> max 0 (Journal.head_seq p.p_journal - r)
-
-let encode_entry (e : Journal.entry) =
-  Backup.encode_row
-    (string_of_int e.Journal.time
-    :: e.Journal.who :: e.Journal.client :: e.Journal.query :: e.Journal.ctx
-    :: e.Journal.args)
-
-let decode_entry line =
-  match Backup.decode_row line with
-  | time :: who :: client :: query :: ctx :: args -> (
-      match int_of_string_opt time with
-      | Some time -> Some { Journal.time; who; client; query; ctx; args }
-      | None -> None)
-  | _ -> None
-  | exception Failure _ -> None
 
 let reply_rows rows = String.concat "\n" rows
 
@@ -94,7 +81,7 @@ let handle p payload =
             | e :: rest when k > 0 -> take (e :: acc) (k - 1) rest
             | _ -> List.rev acc
           in
-          take [] p.p_max_batch all
+          take [] max_batch all
         in
         let header =
           Backup.encode_row
@@ -103,7 +90,7 @@ let handle p payload =
               string_of_int (List.length batch);
             ]
         in
-        reply_rows (header :: List.map encode_entry batch)
+        reply_rows (header :: List.map Journal.encode_entry batch)
       end
   | [ "SNAPSHOT"; _replica ] ->
       Obs.Counter.incr p.p_snaps;
@@ -124,14 +111,12 @@ let handle p payload =
   | exception Failure msg ->
       reply_rows [ Backup.encode_row [ "ERR"; msg ] ]
 
-let serve_primary ?retain ?(max_batch = 512) ~net ~host ~journal ~snapshot ()
-    =
+let serve_primary ?retain ~net ~host ~journal ~snapshot () =
   let p =
     {
       p_journal = journal;
       p_snapshot = snapshot;
       p_retain = retain;
-      p_max_batch = max_batch;
       p_obs = Netsim.Net.obs net;
       p_fetches = Obs.Counter.make (Netsim.Net.obs net) "repl.primary.fetches";
       p_snaps =
@@ -142,8 +127,6 @@ let serve_primary ?retain ?(max_batch = 512) ~net ~host ~journal ~snapshot ()
       handle p payload);
   p
 
-let primary_head p = Journal.head_seq p.p_journal
-
 (* ---------------- replica ---------------- *)
 
 type replica = {
@@ -152,7 +135,6 @@ type replica = {
   r_primary : string;
   r_apply : Journal.entry -> unit;
   r_install : (string * string) list -> seq:int -> unit;
-  r_boot_from_snapshot : bool;
   mutable r_applied : int;
   mutable r_subscribed : bool;
   r_obs : Obs.t;
@@ -237,7 +219,7 @@ let poll r =
             (* fresh boot against a primary with history: restoring the
                snapshot is O(database), replaying the whole journal is
                O(history) query executions — take the snapshot *)
-            if r.r_applied = 0 && head > 0 && r.r_boot_from_snapshot then
+            if r.r_applied = 0 && head > 0 then
               snapshot_catchup r
         | _ -> ())
   end;
@@ -269,15 +251,15 @@ let poll r =
               else begin
                 List.iteri
                   (fun i row ->
-                    match decode_entry row with
-                    | Some e ->
+                    match Journal.decode_entry row with
+                    | Ok e ->
                         let seq = first + i in
                         if seq > r.r_applied then begin
                           r.r_apply e;
                           r.r_applied <- seq;
                           observe_applied r e
                         end
-                    | None -> Obs.Counter.incr r.c_fetch_failed)
+                    | Error _ -> Obs.Counter.incr r.c_fetch_failed)
                   rows;
                 (* a full batch means more entries are waiting *)
                 if count > 0 && r.r_applied < head then continue := true
@@ -305,8 +287,7 @@ let poll_and_observe r =
           observe_lag r ~head
       | _ -> ())
 
-let replica ?(boot_from_snapshot = true) ~net ~self ~primary ~apply
-    ~install_snapshot () =
+let replica ~net ~self ~primary ~apply ~install_snapshot () =
   let obs = Netsim.Net.obs net in
   let key = "repl." ^ String.lowercase_ascii self in
   {
@@ -315,7 +296,6 @@ let replica ?(boot_from_snapshot = true) ~net ~self ~primary ~apply
     r_primary = primary;
     r_apply = apply;
     r_install = install_snapshot;
-    r_boot_from_snapshot = boot_from_snapshot;
     r_applied = 0;
     r_subscribed = false;
     r_obs = obs;

@@ -20,7 +20,6 @@ type primary
 
 val serve_primary :
   ?retain:int ->
-  ?max_batch:int ->
   net:Netsim.Net.t ->
   host:Netsim.Host.t ->
   journal:Journal.t ->
@@ -31,18 +30,14 @@ val serve_primary :
     full dump (typically {!Backup.dump}) served to replicas that boot
     fresh or fall behind.  [retain] bounds how far back FETCH is served:
     a replica more than [retain] entries behind the head is told to
-    catch up from a snapshot instead (default: serve any suffix).
-    [max_batch] caps entries per FETCH reply (default 512). *)
-
-val primary_head : primary -> int
-(** Current journal head sequence number. *)
+    catch up from a snapshot instead (default: serve any suffix).  A
+    FETCH reply carries at most 512 entries. *)
 
 (** {1 Replica} *)
 
 type replica
 
 val replica :
-  ?boot_from_snapshot:bool ->
   net:Netsim.Net.t ->
   self:string ->
   primary:string ->
@@ -53,10 +48,9 @@ val replica :
 (** A puller bound to hostname [self], streaming from hostname
     [primary].  [apply] replays one committed entry into the replica's
     database; [install_snapshot] replaces the whole database with the
-    dump and records that it reflects the journal through [seq].  With
-    [boot_from_snapshot] (default true) a replica whose applied
-    sequence is 0 against a primary with history restores a snapshot
-    rather than replaying the entire journal. *)
+    dump and records that it reflects the journal through [seq].  A
+    replica whose applied sequence is 0 against a primary with history
+    restores a snapshot rather than replaying the entire journal. *)
 
 val applied_seq : replica -> int
 (** Highest journal sequence number applied locally. *)

@@ -52,12 +52,3 @@ let check_tuple t tuple =
              (Value.ctype_name expect)
              (Value.ctype_name got)))
     tuple
-
-let pp fmt t =
-  Format.fprintf fmt "%s(" t.name;
-  Array.iteri
-    (fun i c ->
-      if i > 0 then Format.fprintf fmt ", ";
-      Format.fprintf fmt "%s:%s" c.cname (Value.ctype_name c.ctype))
-    t.columns;
-  Format.fprintf fmt ")"

@@ -46,11 +46,3 @@ let pick_list t l =
   match l with
   | [] -> invalid_arg "Rng.pick_list: empty list"
   | _ -> List.nth l (int t (List.length l))
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

@@ -38,6 +38,3 @@ val pick : t -> 'a array -> 'a
 
 val pick_list : t -> 'a list -> 'a
 (** A uniformly random list element.  @raise Invalid_argument on []. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)

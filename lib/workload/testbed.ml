@@ -202,14 +202,8 @@ let create ?(spec = Population.small) ?backend ?access_cache ?(dcm_every_min = 1
       let existing =
         Option.value (Netsim.Vfs.read fs ~path:journal_path) ~default:""
       in
-      let line =
-        Relation.Backup.encode_row
-          (string_of_int e.Relation.Journal.time
-          :: e.Relation.Journal.who :: e.Relation.Journal.client
-          :: e.Relation.Journal.query :: e.Relation.Journal.ctx
-          :: e.Relation.Journal.args)
-      in
-      Netsim.Vfs.write fs ~path:journal_path (existing ^ line ^ "\n");
+      Netsim.Vfs.write fs ~path:journal_path
+        (existing ^ Relation.Journal.encode_entry e ^ "\n");
       Netsim.Vfs.flush fs);
 
   (* registration server on the database machine *)

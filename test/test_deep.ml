@@ -35,12 +35,11 @@ let test_effect_chain () =
   Alcotest.(check (list string))
     "top is the only entry point" [ "Fix_eff.top" ]
     (Deep.entry_points facts);
-  Alcotest.(check (list string))
-    "wall-clock propagates to top" [ "wall-clock" ]
-    (List.map Deep.effect_name (Deep.transitive facts "Fix_eff.top"));
   match Deep.effect_findings facts with
   | [ f ] ->
       Alcotest.(check string) "rule" "wall-clock" f.Deep.f_rule;
+      Alcotest.(check bool) "wall-clock reaches top" true
+        (has_msg [ f ] "reached from Fix_eff.top");
       Alcotest.(check int) "located at the Sys.time site" 1 f.Deep.f_line;
       Alcotest.(check (list string))
         "full call chain from the entry"
@@ -55,12 +54,13 @@ let test_effect_kinds () =
        let shout s = print_string s\n\
        let main () = shout (string_of_int (roll ()))\n"
   in
+  let fs = Deep.effect_findings facts in
   Alcotest.(check (list string))
-    "random propagates" [ "global-random" ]
-    (List.map Deep.effect_name (Deep.transitive facts "Fix_kinds.main"));
-  Alcotest.(check (list string))
-    "one effect finding, under its own id" [ "global-random" ]
-    (rules (Deep.effect_findings facts));
+    "one effect finding, under its own id" [ "global-random" ] (rules fs);
+  Alcotest.(check (list (list string)))
+    "random reaches main through roll"
+    [ [ "Fix_kinds.main"; "Fix_kinds.roll" ] ]
+    (List.map (fun f -> f.Deep.f_chain) fs);
   (* printing is a per-definition site, not an effect: it does not
      travel to callers *)
   Alcotest.(check (list string))
@@ -127,6 +127,73 @@ let test_wrapped_refs () =
   Alcotest.(check bool) "Deep_moira.run calls Deep.load_cmt" true
     (List.mem "Lint.Deep.load_cmt" (Deep.callees facts run))
 
+(* Each way a reference reaches a definition, resolved through the
+   unit's scope rather than by qualifying the written name with the
+   unit: the call edge must carry the effect back to the entry. *)
+let chains facts =
+  List.map (fun f -> f.Deep.f_chain) (Deep.effect_findings facts)
+
+let test_resolve_submodule () =
+  let facts =
+    load "fix_sub"
+      "module Sub = struct\n\
+      \  let now () = Sys.time ()\n\
+      \  let top () = now ()\n\
+       end\n"
+  in
+  Alcotest.(check (list (list string)))
+    "a bare call inside a submodule resolves there"
+    [ [ "Fix_sub.Sub.top"; "Fix_sub.Sub.now" ] ]
+    (chains facts)
+
+let test_resolve_alias () =
+  let facts =
+    load "fix_alias"
+      "module Inner = struct let now () = Sys.time () end\n\
+       module A = Inner\n\
+       let top () = A.now ()\n"
+  in
+  Alcotest.(check (list (list string)))
+    "a call through a module alias reaches the target"
+    [ [ "Fix_alias.top"; "Fix_alias.Inner.now" ] ]
+    (chains facts)
+
+let test_resolve_letop () =
+  let facts =
+    load "fix_letop"
+      "let ( let* ) x f = ignore (Sys.time ()); f x\n\
+       let top () = let* y = 1 in y\n"
+  in
+  Alcotest.(check (list (list string)))
+    "a binding operator is a call"
+    [ [ "Fix_letop.top"; "Fix_letop.let*" ] ]
+    (chains facts)
+
+let test_resolve_functor_arg () =
+  let facts =
+    load "fix_functor"
+      "module Key = struct\n\
+      \  type t = int\n\
+      \  let compare a b = ignore (Random.int 2); Int.compare a b\n\
+       end\n\
+       module M = Map.Make (Key)\n\
+       let top () = M.cardinal (M.add 1 () M.empty)\n"
+  in
+  Alcotest.(check (list (list string)))
+    "using the application reaches the argument's values"
+    [ [ "Fix_functor.top"; "Fix_functor.M"; "Fix_functor.Key.compare" ] ]
+    (chains facts)
+
+let test_resolve_annotated () =
+  let facts =
+    load "fix_annot"
+      "let memo : (int, int) Hashtbl.t = Hashtbl.create 8\n\
+       let get k = Hashtbl.find memo k\n"
+  in
+  Alcotest.(check (list string))
+    "an annotated toplevel binding keeps its name" [ "Fix_annot.memo" ]
+    (Deep.callees facts (Hashtbl.find facts "Fix_annot.get"))
+
 (* ---- lock order ---- *)
 
 let lock_prelude =
@@ -151,6 +218,26 @@ let test_lock_edges () =
        (Deep.lock_edges facts));
   Alcotest.(check int) "no findings on a clean order" 0
     (List.length (Deep.lock_findings facts))
+
+(* The nested acquire sits in a helper called bare from inside a
+   submodule: the edge exists only if that call resolves. *)
+let test_lock_edge_via_submodule () =
+  let facts =
+    load "fix_lock_sub"
+      (lock_prelude
+      ^ "module Hosts = struct\n\
+        \  let take () = Lock.acquire ~key:\"host:z/w\" ~owner:\"dcm\"\n\
+        \  let phase () =\n\
+        \    let a = Lock.acquire ~key:\"service:z\" ~owner:\"dcm\" in\n\
+        \    a && take ()\n\
+         end\n")
+  in
+  Alcotest.(check (list (pair string string)))
+    "service nests over host through the helper"
+    [ ("service", "host") ]
+    (List.map
+       (fun e -> (e.Deep.le_from, e.Deep.le_to))
+       (Deep.lock_edges facts))
 
 let test_lock_cycle () =
   let facts =
@@ -323,7 +410,17 @@ let suite =
       test_unordered_iter;
     Alcotest.test_case "effect suppression" `Quick test_effect_suppression;
     Alcotest.test_case "wrapped-library refs resolve" `Quick test_wrapped_refs;
+    Alcotest.test_case "resolve: submodule-local call" `Quick
+      test_resolve_submodule;
+    Alcotest.test_case "resolve: module alias" `Quick test_resolve_alias;
+    Alcotest.test_case "resolve: binding operator" `Quick test_resolve_letop;
+    Alcotest.test_case "resolve: functor argument" `Quick
+      test_resolve_functor_arg;
+    Alcotest.test_case "resolve: annotated toplevel binding" `Quick
+      test_resolve_annotated;
     Alcotest.test_case "lock edges" `Quick test_lock_edges;
+    Alcotest.test_case "lock edge via submodule helper" `Quick
+      test_lock_edge_via_submodule;
     Alcotest.test_case "lock cycle" `Quick test_lock_cycle;
     Alcotest.test_case "opaque lock key" `Quick test_lock_opaque_key;
     Alcotest.test_case "sanitizer agreement (chaos day)" `Quick

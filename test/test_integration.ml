@@ -283,6 +283,8 @@ let test_nightly_backup_rotation () =
 let test_on_disk_journal () =
   let tb = Testbed.create () in
   let login = tb.Testbed.built.Population.logins.(0) in
+  let journal = Moira.Mdb.journal tb.Testbed.mdb in
+  let booted = Relation.Journal.length journal in
   ignore
     (Moira.Glue.query tb.Testbed.glue ~name:"update_user_shell"
        [ login; "/bin/disk-journal" ]);
@@ -296,8 +298,19 @@ let test_on_disk_journal () =
              && e.Relation.Journal.args = [ login; "/bin/disk-journal" ])
            (Relation.Journal.entries j))
   | None -> Alcotest.fail "no journal file");
-  (* and it survives a crash of the Moira machine *)
+  (* the tee writes the in-memory journal's own line codec, byte for
+     byte: the file is [Journal.to_lines] of everything committed since
+     the server came up (the population load precedes the tee) *)
   let moira = Testbed.host tb tb.Testbed.built.Population.moira_machine in
+  let since_boot = Relation.Journal.create () in
+  List.iter
+    (Relation.Journal.append since_boot)
+    (Relation.Journal.entries_from journal ~seq:booted);
+  Alcotest.(check (option string))
+    "file = Journal.to_lines of the in-memory journal"
+    (Some (Relation.Journal.to_lines since_boot))
+    (Netsim.Vfs.read (Netsim.Host.fs moira) ~path:"/site/sms/journal");
+  (* and it survives a crash of the Moira machine *)
   Netsim.Host.crash moira;
   Netsim.Host.boot moira;
   match Testbed.journal_file tb with

@@ -193,8 +193,45 @@ let test_allow_hygiene () =
     "stale lock-order allow reported" [ "unused-allow" ]
     (rules_of (allow "lock-order" "nothing nests here" ^ "\nlet x = 1"))
 
+(* [dead-def] over a lib/ snippet: only code outside lib/ is a root. *)
+let dead_of src =
+  let facts = Lint_fixture.load ~file:lib_file src in
+  Deep.gate
+    ~sources:[ (lib_file, src) ]
+    (Deep.dead_findings facts ~root:(fun fn ->
+         not (String.starts_with ~prefix:"lib/" fn.Deep.fn_file)))
+
+let test_dead_def () =
+  Alcotest.(check (list (pair string int)))
+    "only the unused definition, at its line" [ ("dead-def", 2) ]
+    (List.map
+       (fun f -> (f.Deep.f_rule, f.Deep.f_line))
+       (dead_of
+          "let helper () = 1\n\
+           let unused () = 2\n\
+           let () = ignore (helper ())\n"));
+  Alcotest.(check (list string))
+    "kept under an allow" []
+    (List.map
+       (fun f -> f.Deep.f_rule)
+       (dead_of (allow "dead-def" "paper section 5" ^ "\nlet unused () = 2")));
+  (* a test is a root: what only tests call stays *)
+  let facts = Deep.create () in
+  let fn name file line refs =
+    let f = Deep.make_fn ~name ~unit_name:"Q" ~file ~line in
+    f.Deep.fn_refs <- refs;
+    Deep.add_fn facts f
+  in
+  fn "Q.helper" lib_file 1 [];
+  fn "T.check" "test/test_q.ml" 1 [ ("Q.helper", 1) ];
+  Alcotest.(check int) "reached only from test/: not reported" 0
+    (List.length
+       (Deep.dead_findings facts ~root:(fun fn ->
+            not (String.starts_with ~prefix:"lib/" fn.Deep.fn_file))))
+
 (* One known-bad snippet per catalogue rule; proto-exhaustive needs a
-   protocol model, so it gets a verb check instead. *)
+   protocol model, so it gets a verb check instead, and dead-def a
+   reachability root. *)
 let bad_snippets =
   [
     ("wall-clock", "let t = Sys.time ()");
@@ -209,6 +246,7 @@ let bad_snippets =
     ( "lock-order",
       "let f l k = Fun.protect ~finally:ignore (fun () -> \
        Lock.acquire l ~key:k ~owner:\"o\" Lock.Shared)" );
+    ("dead-def", "let unused () = ()");
     ("bad-allow", "(*" ^ " lint: allow obj-magic *)");
     ("unused-allow", allow "obj-magic" "nothing here" ^ "\nlet x = 1");
   ]
@@ -223,6 +261,10 @@ let test_catalogue () =
           (fun f -> f.Deep.f_rule)
           (Deep.proto_verb_findings facts ~doc:"" ~unit_name:"Q_fixture"
              [ "PING" ])
+    | "dead-def" ->
+        List.map
+          (fun f -> f.Deep.f_rule)
+          (dead_of (List.assoc "dead-def" bad_snippets))
     | rule -> rules_of (List.assoc rule bad_snippets)
   in
   List.iter
@@ -260,6 +302,7 @@ let suite =
     Alcotest.test_case "printf-in-lib" `Quick test_printf_in_lib;
     Alcotest.test_case "suppression" `Quick test_suppression;
     Alcotest.test_case "allow hygiene" `Quick test_allow_hygiene;
+    Alcotest.test_case "dead-def" `Quick test_dead_def;
     Alcotest.test_case "catalogue covered" `Quick test_catalogue;
     Alcotest.test_case "repo tree clean" `Quick test_repo_is_clean;
   ]
