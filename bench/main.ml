@@ -89,7 +89,7 @@ let mean = function
 let interval_string mdb service =
   let tbl = Moira.Mdb.table mdb "servers" in
   match
-    Relation.Table.select_one tbl (Relation.Pred.eq_str "name" service)
+    Relation.Plan.select_one tbl (Relation.Pred.eq_str "name" service)
   with
   | Some (_, row) ->
       let minutes =
@@ -586,7 +586,7 @@ let bench_clusterdb () =
             (Printf.sprintf "%s.cluster HS UNSPECA \"%s %s\"\n" mach
                (Relation.Value.str srow.(1))
                (Relation.Value.str srow.(2))))
-        (Relation.Table.select svc
+        (Relation.Plan.select svc
            (Relation.Pred.eq_int "clu_id" (Relation.Value.int row.(1)))));
   Printf.printf
     "merged (pseudo-cluster CNAMEs): %7d bytes\n\
@@ -747,7 +747,7 @@ let naive_grplist mdb =
           Hesiod.Hes_db.format_unspeca ~key:(login ^ ".grplist") rendered
           :: !lines
       end)
-    (Relation.Table.select (Moira.Mdb.table mdb "users")
+    (Relation.Plan.select (Moira.Mdb.table mdb "users")
        (Relation.Pred.eq_int "status" 1));
   ("grplist.db", Dcm.Gen_util.sorted_lines !lines)
 
@@ -765,7 +765,7 @@ let naive_aliases mdb =
   let members = Moira.Mdb.table mdb "members" in
   let buf = Buffer.create 65536 in
   let maillists =
-    Table.select lists
+    Plan.select lists
       (Pred.conj [ Pred.eq_bool "maillist" true; Pred.eq_bool "active" true ])
     |> List.sort (fun (_, a) (_, b) ->
            String.compare
@@ -787,7 +787,7 @@ let naive_aliases mdb =
           | None -> ())
       | _ -> ());
       let ms =
-        Table.select members (Pred.eq_int "list_id" list_id)
+        Plan.select members (Pred.eq_int "list_id" list_id)
         |> List.filter_map (fun (_, m) ->
                render_member (Value.str m.(1)) (Value.int m.(2)))
         |> List.sort String.compare
@@ -810,7 +810,7 @@ let naive_aliases mdb =
               :: !pobox_lines
         | None -> ()
       end)
-    (Table.select (Moira.Mdb.table mdb "users") (Pred.eq_int "status" 1));
+    (Plan.select (Moira.Mdb.table mdb "users") (Pred.eq_int "status" 1));
   Buffer.add_string buf
     (Dcm.Sink.to_string (Dcm.Gen_util.sorted_lines !pobox_lines));
   ("aliases", Dcm.Sink.of_string (Buffer.contents buf))
@@ -867,7 +867,7 @@ let bench_gen () =
     flip := not !flip;
     let shell = if !flip then "/bin/csh" else "/bin/sh" in
     ignore
-      (Relation.Table.set_fields utbl
+      (Relation.Plan.set_fields utbl
          (Relation.Pred.eq_str "login" tb.Testbed.built.Population.logins.(0))
          [ ("shell", Relation.Value.Str shell) ])
   in
@@ -1067,7 +1067,7 @@ let bench_gen () =
 
 (* The pre-planner evaluation strategy, verbatim: walk every row and run
    [Pred.eval], which resolves each column name through the schema
-   hashtable on every row.  This is what every glob, range, OR and
+   hashtable on every row.  This is what every glob, OR and
    case-folded lookup cost before the planner, and what un-indexed
    queries still cost. *)
 let naive_select t p =
@@ -1120,15 +1120,6 @@ let bench_qry () =
       let pick i = logins.(i * Array.length logins / 8) in
       let mid = pick 4 in
       let prefix = String.sub mid 0 (min 3 (String.length mid)) in
-      (* a uid window covering roughly 1% of the population *)
-      let uids =
-        List.sort Int.compare
-          (Relation.Table.fold users ~init:[] ~f:(fun acc _ row ->
-               Relation.Value.int row.(2) :: acc))
-      in
-      let nth_uid n = List.nth uids (min n (List.length uids - 1)) in
-      let uid_lo = nth_uid (n_users / 4) in
-      let uid_hi = nth_uid ((n_users / 4) + max 4 (n_users / 100)) in
       let open Relation in
       let queries =
         [
@@ -1141,10 +1132,6 @@ let bench_qry () =
                 Pred.eq_str "login" mid;
               ] );
           ("prefix_glob", Pred.Glob ("login", prefix ^ "*"));
-          ( "range_uid",
-            Pred.And
-              (Pred.Ge ("uid", Value.Int uid_lo),
-               Pred.Lt ("uid", Value.Int uid_hi)) );
           ("fold_eq", Pred.Glob_fold ("login", String.uppercase_ascii mid));
         ]
       in
@@ -1243,7 +1230,7 @@ let chaos_converged ?(after = 0) tb =
       else
         let service = Relation.Value.str (field "service") in
         match
-          Relation.Table.select_one servers
+          Relation.Plan.select_one servers
             (Relation.Pred.eq_str "name" service)
         with
         | None -> true
@@ -1645,27 +1632,7 @@ let bench_replication () =
             if v < prev then incr regressions
             else Hashtbl.replace observed login v)
     | Ok _ -> incr reads_ok
-    | Error e ->
-        incr reads_failed;
-        if Sys.getenv_opt "REPL_DEBUG" <> None then
-          Printf.eprintf
-            "DEBUG t=%d read failed (%s) primary_down=%b hw=%d status=[%s] \
-             applied=[%s]\n%!"
-            (Sim.Engine.now tb.Testbed.engine)
-            (Comerr.Com_err.error_message e)
-            (primary_down ())
-            (Moira.Mr_client.high_water reader)
-            (String.concat ";"
-               (List.map
-                  (fun (h, q) -> Printf.sprintf "%s:%b" h q)
-                  (Moira.Mr_client.replica_status reader)))
-            (String.concat ";"
-               (List.map
-                  (fun (_, r) ->
-                    string_of_int
-                      (Relation.Replicate.applied_seq
-                         (Moira.Mr_server.replica_handle r)))
-                  tb.Testbed.replicas))
+    | Error _ -> incr reads_failed
   in
   let version = ref 0 in
   let writes_ok = ref 0 and writes_failed = ref 0 in

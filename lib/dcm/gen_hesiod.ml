@@ -63,7 +63,7 @@ let group_files mdb =
       group :=
         u (name ^ ".group") (Printf.sprintf "%s:*:%d:" name g) :: !group;
       gid := c (string_of_int g ^ ".gid") (name ^ ".group") :: !gid)
-    (Table.select tbl
+    (Plan.select tbl
        (Pred.conj
           [ Pred.eq_bool "grouplist" true; Pred.eq_bool "active" true ]));
   ( ("group.db", sorted_lines !group),
@@ -100,7 +100,7 @@ let cluster_file mdb =
   let svc = Moira.Mdb.table mdb "svc" in
   let mcmap = Moira.Mdb.table mdb "mcmap" in
   let cluster_data clu_id =
-    Table.select svc (Pred.eq_int "clu_id" clu_id)
+    Plan.select svc (Pred.eq_int "clu_id" clu_id)
     |> List.map (fun (_, row) ->
            Printf.sprintf "%s %s" (Value.str row.(1)) (Value.str row.(2)))
   in
@@ -116,7 +116,7 @@ let cluster_file mdb =
       List.iter
         (fun data -> lines := u (name ^ ".cluster") data :: !lines)
         (cluster_data clu_id))
-    (Table.select clusters Pred.True);
+    (Plan.select clusters Pred.True);
   (* machine CNAMEs *)
   let machines = Moira.Mdb.table mdb "machine" in
   let m_name = col machines "name" in
@@ -126,7 +126,7 @@ let cluster_file mdb =
       let mname = Value.str (m_name row) in
       let mach_id = Value.int (m_id row) in
       let clus =
-        Table.select mcmap (Pred.eq_int "mach_id" mach_id)
+        Plan.select mcmap (Pred.eq_int "mach_id" mach_id)
         |> List.filter_map (fun (_, m) ->
                Moira.Lookup.cluster_name mdb (Value.int m.(1)))
         |> List.sort String.compare
@@ -149,7 +149,7 @@ let cluster_file mdb =
               | None -> ())
             several;
           lines := c (mname ^ ".cluster") (pseudo ^ ".cluster") :: !lines)
-    (Table.select machines Pred.True);
+    (Plan.select machines Pred.True);
   ("cluster.db", sorted_lines !lines)
 
 (* filsys.db *)
@@ -178,7 +178,7 @@ let filsys_file mdb =
           (Value.str (mount row))
       in
       lines := u (Value.str (label row) ^ ".filsys") data :: !lines)
-    (Table.select tbl Pred.True);
+    (Plan.select tbl Pred.True);
   ("filsys.db", sorted_lines !lines)
 
 (* printcap.db *)
@@ -204,7 +204,7 @@ let printcap_file mdb =
           (Value.str (dir row))
       in
       lines := u (name ^ ".pcap") data :: !lines)
-    (Table.select tbl Pred.True);
+    (Plan.select tbl Pred.True);
   ("printcap.db", sorted_lines !lines)
 
 (* service.db: the services relation plus SERVICE aliases *)
@@ -223,14 +223,14 @@ let service_file mdb =
           (Value.int (port row))
       in
       lines := u (name ^ ".service") data :: !lines)
-    (Table.select tbl Pred.True);
+    (Plan.select tbl Pred.True);
   let aliases = Moira.Mdb.table mdb "alias" in
   List.iter
     (fun (_, row) ->
       lines :=
         c (Value.str row.(0) ^ ".service") (Value.str row.(2) ^ ".service")
         :: !lines)
-    (Table.select aliases (Pred.eq_str "type" "SERVICE"));
+    (Plan.select aliases (Pred.eq_str "type" "SERVICE"));
   ("service.db", sorted_lines !lines)
 
 (* sloc.db: enabled server/host tuples *)
@@ -250,7 +250,7 @@ let sloc_file mdb =
               machine
             :: !lines
       | None -> ())
-    (Table.select tbl (Pred.eq_bool "enable" true));
+    (Plan.select tbl (Pred.eq_bool "enable" true));
   ("sloc.db", sorted_lines !lines)
 
 let with_mdb f glue = f (Moira.Glue.mdb glue)

@@ -4,7 +4,7 @@ let generate glue =
   let mdb = Moira.Glue.mdb glue in
   let tbl = Moira.Mdb.table mdb "hostaccess" in
   let per_host =
-    Table.select tbl Pred.True
+    Plan.select tbl Pred.True
     |> List.filter_map (fun (_, row) ->
            let mach_id = Value.int (Table.field tbl row "mach_id") in
            match Moira.Lookup.machine_name mdb mach_id with

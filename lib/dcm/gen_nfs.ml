@@ -60,7 +60,7 @@ let quotas_and_dirs mdb ~nfsphys_id ~dir =
   let f_lockertype = col filesys "lockertype" in
   let q_users_id = col nfsquota "users_id" in
   let q_quota = col nfsquota "quota" in
-  let fss = Table.select filesys (Pred.eq_int "phys_id" nfsphys_id) in
+  let fss = Plan.select filesys (Pred.eq_int "phys_id" nfsphys_id) in
   let quota_lines = ref [] and dir_lines = ref [] in
   List.iter
     (fun (_, fs) ->
@@ -75,7 +75,7 @@ let quotas_and_dirs mdb ~nfsphys_id ~dir =
                   (Value.int (q_quota q))
                 :: !quota_lines
           | None -> ())
-        (Table.select nfsquota (Pred.eq_int "filsys_id" filsys_id));
+        (Plan.select nfsquota (Pred.eq_int "filsys_id" filsys_id));
       if Value.bool (f_createflg fs) then begin
         let owner_uid =
           match Moira.Lookup.user_row mdb (Value.int (f_owner fs)) with
@@ -107,7 +107,7 @@ let per_nfs_host mdb pick =
   let shosts = Moira.Mdb.table mdb "serverhosts" in
   let sh_mach_id = col shosts "mach_id" in
   let per_host =
-    Table.select shosts
+    Plan.select shosts
       (Pred.conj [ Pred.eq_str "service" "NFS"; Pred.eq_bool "enable" true ])
     |> List.filter_map (fun (_, sh) ->
            let mach_id = Value.int (sh_mach_id sh) in
@@ -136,7 +136,7 @@ let partitions_part glue =
   let p_id = col nfsphys "nfsphys_id" in
   let p_dir = col nfsphys "dir" in
   per_nfs_host mdb (fun ~sh:_ ~mach_id ->
-      Table.select nfsphys (Pred.eq_int "mach_id" mach_id)
+      Plan.select nfsphys (Pred.eq_int "mach_id" mach_id)
       |> List.concat_map (fun (_, p) ->
              quotas_and_dirs mdb ~nfsphys_id:(Value.int (p_id p))
                ~dir:(Value.str (p_dir p))))

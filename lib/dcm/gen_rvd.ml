@@ -17,7 +17,7 @@ let generate glue =
             Option.value (Hashtbl.find_opt by_machine machine) ~default:[]
           in
           Hashtbl.replace by_machine machine (line :: existing))
-    (Table.select filesys (Pred.eq_str "type" "RVD"));
+    (Plan.select filesys (Pred.eq_str "type" "RVD"));
   let per_host =
     Hashtbl.fold
       (fun machine lines acc ->

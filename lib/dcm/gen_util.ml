@@ -12,7 +12,7 @@ let col tbl cname =
   let i = Schema.index_of (Table.schema tbl) cname in
   fun row -> row.(i)
 
-(* One no-copy pass with a hoisted projector instead of [Table.select]
+(* One no-copy pass with a hoisted projector instead of [Plan.select]
    with a [Pred]: the predicate machinery re-resolves the column and
    copies every row, which adds up in per-generation loops. *)
 let active_users tbl f =

@@ -14,7 +14,7 @@ let generate glue =
   let mdb = Moira.Glue.mdb glue in
   let tbl = Moira.Mdb.table mdb "zephyr" in
   let files =
-    Table.select tbl Pred.True
+    Plan.select tbl Pred.True
     |> List.map (fun (_, row) ->
            let cls = Value.str (Table.field tbl row "class") in
            let ace_type = Value.str (Table.field tbl row "xmt_type") in

@@ -236,13 +236,13 @@ let mdb t = Moira.Glue.mdb t.glue
 let recovery_sweep t =
   let db = mdb t in
   let services_cleared =
-    Table.set_fields
+    Plan.set_fields
       (Moira.Mdb.table db "servers")
       (Pred.eq_bool "inprogress" true)
       [ ("inprogress", Value.Bool false) ]
   in
   let hosts_cleared =
-    Table.set_fields
+    Plan.set_fields
       (Moira.Mdb.table db "serverhosts")
       (Pred.eq_bool "inprogress" true)
       [ ("inprogress", Value.Bool false) ]
@@ -296,7 +296,7 @@ let load_retry_state t =
                 (service ^ "/" ^ machine)
                 { fails = abs v1; next_attempt = v2; notified = v1 < 0 }
       end)
-    (Table.select shosts Pred.True)
+    (Plan.select shosts Pred.True)
 
 let create ~net ~moira_host ~glue ?(token = "krb") ?zephyr_to ?mail_via
     ?(generators = standard_generators) ?(retry = default_retry_policy) ?obs
@@ -506,7 +506,7 @@ let sshi t ~service ~machine ~override ~success ~inprogress ~hosterror
 
 let service_row t name =
   let tbl = Moira.Mdb.table (mdb t) "servers" in
-  Option.map snd (Table.select_one tbl (Pred.eq_str "name" name))
+  Option.map snd (Plan.select_one tbl (Pred.eq_str "name" name))
 
 let sfield t row col =
   Table.field (Moira.Mdb.table (mdb t) "servers") row col
@@ -651,7 +651,7 @@ let host_phase t gen =
                 (fun () ->
               let shosts = Moira.Mdb.table (mdb t) "serverhosts" in
               let hosts =
-                Table.select shosts
+                Plan.select shosts
                   (Pred.conj
                      [ Pred.eq_str "service" service;
                        Pred.eq_bool "enable" true;

@@ -8,9 +8,9 @@
    [Relation.Lock] monitor and the [Netsim.Vfs] write hook — both [None]
    unless installed, so the default-off cost is nothing.
 
-   Enable with [MOIRA_SANITIZE=1] (the [Workload.Testbed] honours it and
-   [?sanitize] forces it programmatically).  Violations are counted in
-   the [Obs] registry under [sanitizer.*] and detailed on the
+   Enable with [Workload.Testbed.create ~sanitize:true] (the static
+   analyzer's chaos day and the sanitizer tests do).  Violations are
+   counted in the [Obs] registry under [sanitizer.*] and detailed on the
    ["sanitizer"] log channel; tests assert {!violations} [= 0] at the
    end of a run. *)
 
@@ -35,11 +35,6 @@ let key_class key =
   match String.index_opt key ':' with
   | Some i -> String.sub key 0 i
   | None -> key
-
-let env_enabled () =
-  match Sys.getenv_opt "MOIRA_SANITIZE" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
 
 let log t msg attrs = Obs.log t.obs ~channel:"sanitizer" ~attrs msg
 

@@ -5,12 +5,9 @@
     while nobody holds that host's lock.  Violations are counted under
     [sanitizer.*] in the [Obs] registry and detailed on the
     ["sanitizer"] log channel.  Off by default; [Workload.Testbed]
-    installs it when [MOIRA_SANITIZE=1] (or [?sanitize:true]). *)
+    installs it when created with [~sanitize:true]. *)
 
 type t
-
-val env_enabled : unit -> bool
-(** [MOIRA_SANITIZE] is ["1"], ["true"] or ["yes"]. *)
 
 val install : obs:Obs.t -> Relation.Lock.t -> t
 (** Hook the lock manager's monitor and register the counters. *)

@@ -145,7 +145,7 @@ let probe_queries mdb qs =
 
 let capacls mdb qs =
   let names = List.map (fun q -> q.Query.name) qs in
-  Table.select (Mdb.table mdb "capacls") Pred.True
+  Plan.select (Mdb.table mdb "capacls") Pred.True
   |> List.filter_map (fun (_, row) ->
          let cap = Value.to_string row.(0) in
          if List.mem cap names then None

@@ -290,6 +290,27 @@ let reconnect_primary t =
               | Ok (0, _) -> Some c
               | Ok _ | Error _ -> None)))
 
+(* QUERY2 on the primary, sequenced so the reply teaches the client its
+   new high-water mark (read-your-writes).  A transport failure gets one
+   in-place reconnect and one retry: the primary may have rebooted since
+   the connection was opened. *)
+let query_primary t ~name args ~callback =
+  let code_of = function
+    | `Done code | `Transport code -> code
+    | `Stale -> Mr_err.replica_stale (* the primary is never stale *)
+  in
+  let retry code =
+    match reconnect_primary t with
+    | None -> code
+    | Some c -> code_of (call_query2 t c ~name args ~callback)
+  in
+  match t.conn with
+  | Some c when Gdb.Client.is_connected c -> (
+      match call_query2 t c ~name args ~callback with
+      | `Transport code -> retry code
+      | r -> code_of r)
+  | _ -> retry Mr_err.not_connected
+
 (* Reads fan out over healthy replicas round-robin; a stale replica is
    skipped without prejudice, a faulty one is charged a failure.  The
    primary is the backstop when every replica is quarantined, stale, or
@@ -303,27 +324,9 @@ let query_via_replicas t ~name args ~callback =
     List.init n (fun i -> arr.((start + i) mod n))
   in
   let rec go = function
-    | [] -> (
+    | [] ->
         Obs.Counter.incr (counter t "client.read.primary");
-        let on_primary c =
-          match call_query2 t c ~name args ~callback with
-          | `Done code -> code
-          | `Stale -> Mr_err.replica_stale (* primary can't be stale *)
-          | `Transport code -> code
-        in
-        match t.conn with
-        | Some c when Gdb.Client.is_connected c -> (
-            match call_query2 t c ~name args ~callback with
-            | `Done code -> code
-            | `Stale -> Mr_err.replica_stale
-            | `Transport code -> (
-                match reconnect_primary t with
-                | Some c -> on_primary c
-                | None -> code))
-        | _ -> (
-            match reconnect_primary t with
-            | Some c -> on_primary c
-            | None -> Mr_err.not_connected))
+        query_primary t ~name args ~callback
     | rs :: rest when not (healthy t rs) -> go rest
     | rs :: rest -> (
         match replica_conn t rs with
@@ -370,31 +373,7 @@ let mr_query t ~name args ~callback =
           | Ok (code, _) -> code
           | Error e -> code_of_gdb_error e)
     else if is_read_name name then query_via_replicas t ~name args ~callback
-    else begin
-      (* writes go to the primary, sequenced so the reply teaches the
-         client its new high-water mark (read-your-writes) *)
-      let once c =
-        match call_query2 t c ~name args ~callback with
-        | `Done code -> code
-        | `Stale -> Mr_err.replica_stale
-        | `Transport code -> code
-      in
-      match t.conn with
-      | Some c when Gdb.Client.is_connected c -> (
-          match call_query2 t c ~name args ~callback with
-          | `Done code -> code
-          | `Stale -> Mr_err.replica_stale
-          | `Transport code -> (
-              (* one in-place reconnect: the primary may have rebooted
-                 since the connection was opened *)
-              match reconnect_primary t with
-              | None -> code
-              | Some c2 -> once c2))
-      | _ -> (
-          match reconnect_primary t with
-          | None -> Mr_err.not_connected
-          | Some c -> once c)
-    end
+    else query_primary t ~name args ~callback
   in
   let dur = clock () - t0 in
   Obs.Histogram.observe (Obs.Histogram.make obs "client.query_ms") dur;

@@ -5,7 +5,7 @@
    / serverhosts rows, and again in every journal entry.  Storing one
    canonical heap string (and one canonical [Value.t] box) per distinct
    atom makes a row cost its array spine plus shared pointers instead of
-   a private copy of every cell.  [Table.insert]/[Table.update] map rows
+   a private copy of every cell.  [Table.insert]/[Plan.update] map rows
    through {!row}, so the pool is populated as a side effect of normal
    writes — including [Backup] restore and [Journal] replay, which both
    funnel through insert.

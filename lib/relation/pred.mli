@@ -2,17 +2,15 @@
 
     Predicates name columns symbolically and are compiled against a schema
     when evaluated, so the same predicate value can be built before the
-    table exists (e.g. by the query catalogue). *)
+    table exists (e.g. by the query catalogue).  The language is what the
+    query handles send: exact matches and wildcard name matches joined by
+    [And]/[Or]/[Not] (paper §5.5); there are no ordering comparisons. *)
 
 type t =
   | True  (** Matches every row. *)
   | Eq of string * Value.t  (** Column equals value. *)
   | Glob of string * string  (** Column matches wildcard pattern. *)
   | Glob_fold of string * string  (** Case-insensitive wildcard match. *)
-  | Lt of string * Value.t  (** Column strictly less than value. *)
-  | Le of string * Value.t  (** Column at most value. *)
-  | Gt of string * Value.t  (** Column strictly greater than value. *)
-  | Ge of string * Value.t  (** Column at least value. *)
   | And of t * t
   | Or of t * t
   | Not of t
@@ -44,38 +42,26 @@ val eval : Schema.t -> t -> Value.t array -> bool
 
 (** {2 Shapes — prepared-statement skeletons}
 
-    A shape is a predicate with its comparison constants replaced by
+    A shape is a predicate with its equality constants replaced by
     numbered parameter slots.  Two calls of the same named query with
     different arguments produce the same shape, so the planner can
     compile a shape once and reuse the plan for every argument vector
     ({!Plan}).  Glob patterns stay literal in the shape: the access path
     chosen at compile time depends on their text. *)
 
-type cmp = Clt | Cle | Cgt | Cge  (** Comparison operators in shapes. *)
-
 type shape =
   | S_true
   | S_eq of string * int  (** Column equals parameter slot. *)
   | S_glob of string * string
   | S_glob_fold of string * string
-  | S_cmp of cmp * string * int  (** Column compared to parameter slot. *)
   | S_and of shape * shape
   | S_or of shape * shape
   | S_not of shape
 
 val split : t -> shape * Value.t array
 (** [split p] separates [p] into its shape and the parameter vector,
-    slots numbered left to right.  [fill (fst (split p)) (snd (split p))
-    = p]. *)
-
-val fill : shape -> Value.t array -> t
-(** Rebuild a predicate from a shape and parameters (inverse of
-    {!split}).  @raise Invalid_argument if the vector is too short. *)
-
-val indexable_eqs : t -> (string * Value.t) list
-(** Equality conjuncts reachable from the root through [And] nodes only —
-    the candidates an index scan may serve.  Sound to use only as a
-    pre-filter: the full predicate must still be evaluated. *)
+    slots numbered left to right: one slot per [Eq], in the order the
+    constants appear in [p]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Debug printer. *)

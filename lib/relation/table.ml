@@ -26,16 +26,10 @@ type index = {
          memoized projections on the versions of exactly the columns
          they read, so e.g. a shell edit leaves a login-sorted user
          projection warm. *)
-  mutable sorted : (Value.t * bucket) array;
-      (* key-ordered view for range/prefix scans, rebuilt lazily *)
+  mutable sorted : (string * bucket) array;
+      (* bucket keys in [String.compare] order for prefix-glob scans on
+         string columns, rebuilt lazily *)
   mutable sorted_version : int;  (* [version] it was built at; -1 = never *)
-  dirty : (string, unit) Hashtbl.t;
-      (* keys whose buckets changed since [sorted] was built; lets the
-         next range query splice the delta into the existing array
-         instead of re-sorting all n keys.  Only tracked once a sorted
-         view exists (bulk load pays nothing). *)
-  mutable dirty_overflow : bool;
-      (* too many dirty keys to bother: next view does a full rebuild *)
   mutable folded : (string, bucket) Hashtbl.t;
       (* lowercase-keyed buckets serving case-folded equality *)
   mutable folded_version : int;
@@ -86,8 +80,6 @@ let create ?(indexed = []) ~clock schema =
           version = 0;
           sorted = [||];
           sorted_version = -1;
-          dirty = Hashtbl.create 0;
-          dirty_overflow = false;
           folded = Hashtbl.create 0;
           folded_version = -1;
         })
@@ -115,113 +107,35 @@ let row_of t id = if id >= 0 && id < t.next_id then t.rows.(id) else None
 
 let key_of v = Value.to_string v
 
-(* Delta tracking for the sorted view: a small bounded set of keys whose
-   buckets moved since the view was last built.  Past [dirty_limit]
-   distinct keys a merge would approach a rebuild anyway, so we drop the
-   set and flag a full rebuild.  Nothing is tracked before the first
-   build ([sorted_version = -1]): bulk loads pay zero. *)
-let dirty_limit = 4096
-
-let note_dirty ix k =
-  if ix.sorted_version >= 0 && not ix.dirty_overflow
-     && not (Hashtbl.mem ix.dirty k)
-  then
-    if Hashtbl.length ix.dirty >= dirty_limit then begin
-      ix.dirty_overflow <- true;
-      Hashtbl.reset ix.dirty
-    end
-    else Hashtbl.replace ix.dirty k ()
-
 let bucket_add ix k id =
   let b = Option.value (Hashtbl.find_opt ix.buckets k) ~default:empty_bucket in
   let bset = Int_set.add id b.bset in
   (* stdlib sets return the argument physically when unchanged, so the
      tracked size cannot drift even on redundant adds *)
-  if bset != b.bset then begin
-    Hashtbl.replace ix.buckets k { bset; bsize = b.bsize + 1 };
-    note_dirty ix k
-  end
+  if bset != b.bset then
+    Hashtbl.replace ix.buckets k { bset; bsize = b.bsize + 1 }
 
 let bucket_remove ix k id =
   match Hashtbl.find_opt ix.buckets k with
   | None -> ()
   | Some b ->
       let bset = Int_set.remove id b.bset in
-      if bset != b.bset then begin
+      if bset != b.bset then
         if Int_set.is_empty bset then Hashtbl.remove ix.buckets k
-        else Hashtbl.replace ix.buckets k { bset; bsize = b.bsize - 1 };
-        note_dirty ix k
-      end
+        else Hashtbl.replace ix.buckets k { bset; bsize = b.bsize - 1 }
 
 (* Lazy derived views, keyed on the index version.  [clear]/restore need
    no special-casing: they bump [version], which invalidates both. *)
 
 let sorted_rebuilds = Obs.Counter.make Obs.default "table.sorted.rebuild"
-let sorted_merges = Obs.Counter.make Obs.default "table.sorted.merge"
-
-let rebuild_sorted ix =
-  Obs.Counter.incr sorted_rebuilds;
-  let acc =
-    Hashtbl.fold
-      (fun k b l -> (Value.of_string ix.ctype k, b) :: l)
-      ix.buckets []
-  in
-  let a = Array.of_list acc in
-  Array.sort (fun (u, _) (v, _) -> Value.compare u v) a;
-  ix.sorted <- a
-
-(* Splice the dirty keys into the existing key-ordered array:
-   O(n + k log k) instead of the O(n log n) full re-sort.  The old array
-   snapshots immutable bucket records, so entries for untouched keys are
-   still current; every dirty key is refreshed from the live hashtable
-   (absent = the key emptied out and its entry is dropped). *)
-let merge_sorted ix =
-  Obs.Counter.incr sorted_merges;
-  let d =
-    Array.of_list
-      (Hashtbl.fold
-         (fun k () l ->
-           (Value.of_string ix.ctype k, Hashtbl.find_opt ix.buckets k) :: l)
-         ix.dirty [])
-  in
-  Array.sort (fun (u, _) (v, _) -> Value.compare u v) d;
-  let old = ix.sorted in
-  let n = Array.length old and k = Array.length d in
-  if n + k = 0 then ix.sorted <- [||]
-  else begin
-    let out = Array.make (n + k) (Value.Int 0, empty_bucket) in
-    let oi = ref 0 and di = ref 0 and w = ref 0 in
-    let put e = out.(!w) <- e; incr w in
-    let put_delta (v, b) = match b with Some b -> put (v, b) | None -> () in
-    while !oi < n || !di < k do
-      if !di >= k then begin put old.(!oi); incr oi end
-      else if !oi >= n then begin put_delta d.(!di); incr di end
-      else begin
-        let ov, _ = old.(!oi) and dv, _ = d.(!di) in
-        let c = Value.compare ov dv in
-        if c < 0 then begin put old.(!oi); incr oi end
-        else if c > 0 then begin put_delta d.(!di); incr di end
-        else begin
-          (* dirty key supersedes (or deletes) its stale entry *)
-          put_delta d.(!di);
-          incr oi;
-          incr di
-        end
-      end
-    done;
-    ix.sorted <- (if !w = n + k then out else Array.sub out 0 !w)
-  end
 
 let sorted_view ix =
   if ix.sorted_version <> ix.version then begin
-    let k = Hashtbl.length ix.dirty in
-    if ix.sorted_version >= 0 && not ix.dirty_overflow
-       && 2 * k <= Array.length ix.sorted
-    then merge_sorted ix
-    else rebuild_sorted ix;
-    ix.sorted_version <- ix.version;
-    Hashtbl.reset ix.dirty;
-    ix.dirty_overflow <- false
+    Obs.Counter.incr sorted_rebuilds;
+    let a = Array.of_seq (Hashtbl.to_seq ix.buckets) in
+    Array.sort (fun (u, _) (v, _) -> String.compare u v) a;
+    ix.sorted <- a;
+    ix.sorted_version <- ix.version
   end;
   ix.sorted
 
@@ -308,14 +222,12 @@ let insert t row =
 
 type candidate =
   | C_slot of index * int  (* probe by the rendered slot value *)
-  | C_key of index * string  (* probe by a literal key (non-pattern glob) *)
   | C_fold of index * string  (* folded-bucket probe, lowercased key *)
   | C_union of candidate list  (* OR of probeable atoms *)
 
 type path =
   | P_scan
   | P_probe of candidate list  (* And-reachable; runtime picks smallest *)
-  | P_range of index * (Pred.cmp * int) list  (* cmps on one indexed column *)
   | P_prefix of index * string * string option
       (* literal glob prefix on a string column: half-open key range
          [prefix, successor); [None] = no finite successor (all 0xff) *)
@@ -347,13 +259,6 @@ let compile_eval t shape =
         let g = getter c in
         fun _ row ->
           Glob.matches ~case_fold:true ~pattern:pat (Value.to_string (g row))
-    | Pred.S_cmp (op, c, s) -> (
-        let g = getter c in
-        match op with
-        | Pred.Clt -> fun p row -> Value.compare (g row) p.(s) < 0
-        | Pred.Cle -> fun p row -> Value.compare (g row) p.(s) <= 0
-        | Pred.Cgt -> fun p row -> Value.compare (g row) p.(s) > 0
-        | Pred.Cge -> fun p row -> Value.compare (g row) p.(s) >= 0)
     | Pred.S_and (a, b) ->
         let fa = go a and fb = go b in
         fun p row -> fa p row && fb p row
@@ -379,9 +284,6 @@ let rec conjuncts = function
 let atom_candidate t = function
   | Pred.S_eq (c, slot) ->
       Option.map (fun ix -> C_slot (ix, slot)) (find_index t c)
-  | Pred.S_glob (c, lit) when not (Glob.is_pattern lit) ->
-      (* non-pattern glob is exact match on the rendered value *)
-      Option.map (fun ix -> C_key (ix, lit)) (find_index t c)
   | Pred.S_glob_fold (c, lit) when not (Glob.is_pattern lit) ->
       Option.map
         (fun ix -> C_fold (ix, String.lowercase_ascii lit))
@@ -432,39 +334,20 @@ let choose_path t shape =
   in
   if probes <> [] then P_probe probes
   else
-    let cmps =
-      List.filter_map
-        (function
-          | Pred.S_cmp (op, c, slot) ->
-              Option.map (fun ix -> (ix, (op, slot))) (find_index t c)
-          | _ -> None)
-        cs
+    let rec prefix_path = function
+      | [] -> P_scan
+      | Pred.S_glob (c, pat) :: rest -> (
+          match find_index t c with
+          (* string columns only: no query handle globs an int or bool
+             column, so their indexes never build a sorted view *)
+          | Some ix when ix.ctype = Value.TStr ->
+              let p = glob_prefix pat in
+              if p = "" then prefix_path rest
+              else P_prefix (ix, p, prefix_successor p)
+          | _ -> prefix_path rest)
+      | _ :: rest -> prefix_path rest
     in
-    match cmps with
-    | (ix0, _) :: _ ->
-        (* all comparisons on the first indexed comparison column; the
-           rest stay in the residual predicate *)
-        let mine =
-          List.filter_map
-            (fun (ix, os) -> if ix == ix0 then Some os else None)
-            cmps
-        in
-        P_range (ix0, mine)
-    | [] ->
-        let rec prefix_path = function
-          | [] -> P_scan
-          | Pred.S_glob (c, pat) :: rest when Glob.is_pattern pat -> (
-              match find_index t c with
-              (* glob compares rendered strings, which only agree with
-                 [Value.compare] order on string columns *)
-              | Some ix when ix.ctype = Value.TStr ->
-                  let p = glob_prefix pat in
-                  if p = "" then prefix_path rest
-                  else P_prefix (ix, p, prefix_successor p)
-              | _ -> prefix_path rest)
-          | _ :: rest -> prefix_path rest
-        in
-        prefix_path cs
+    prefix_path cs
 
 let compile_shape t shape =
   { ctable = t; ceval = compile_eval t shape; cpath = choose_path t shape }
@@ -476,13 +359,11 @@ let probe_fold ix fk =
 
 let rec candidate_size params = function
   | C_slot (ix, slot) -> (probe ix (key_of params.(slot))).bsize
-  | C_key (ix, k) -> (probe ix k).bsize
   | C_fold (ix, fk) -> (probe_fold ix fk).bsize
   | C_union l -> List.fold_left (fun a c -> a + candidate_size params c) 0 l
 
 let rec candidate_ids params = function
   | C_slot (ix, slot) -> (probe ix (key_of params.(slot))).bset
-  | C_key (ix, k) -> (probe ix k).bset
   | C_fold (ix, fk) -> (probe_fold ix fk).bset
   | C_union l ->
       (* union keeps ascending-rowid iteration and dedupes Or overlap *)
@@ -508,66 +389,13 @@ let union_slice a start stop =
   done;
   !acc
 
-let range_ids ix cmps params =
-  (* tightest bounds: (value, strict) options folded over the cmps *)
-  let tighten_lo lo v strict =
-    match lo with
-    | None -> Some (v, strict)
-    | Some (u, s) ->
-        let c = Value.compare v u in
-        if c > 0 then Some (v, strict)
-        else if c < 0 then lo
-        else Some (u, s || strict)
-  in
-  let tighten_hi hi v strict =
-    match hi with
-    | None -> Some (v, strict)
-    | Some (u, s) ->
-        let c = Value.compare v u in
-        if c < 0 then Some (v, strict)
-        else if c > 0 then hi
-        else Some (u, s || strict)
-  in
-  let lo, hi =
-    List.fold_left
-      (fun (lo, hi) (op, slot) ->
-        let v = params.(slot) in
-        match op with
-        | Pred.Cgt -> (tighten_lo lo v true, hi)
-        | Pred.Cge -> (tighten_lo lo v false, hi)
-        | Pred.Clt -> (lo, tighten_hi hi v true)
-        | Pred.Cle -> (lo, tighten_hi hi v false))
-      (None, None) cmps
-  in
-  let a = sorted_view ix in
-  let start =
-    match lo with
-    | None -> 0
-    | Some (v, strict) ->
-        lower_bound a (fun k ->
-            let c = Value.compare k v in
-            if strict then c > 0 else c >= 0)
-  in
-  let stop =
-    match hi with
-    | None -> Array.length a
-    | Some (v, strict) ->
-        lower_bound a (fun k ->
-            let c = Value.compare k v in
-            if strict then c >= 0 else c > 0)
-  in
-  union_slice a start stop
-
 let prefix_ids ix lo hi =
   let a = sorted_view ix in
-  let vlo = Value.Str lo in
-  let start = lower_bound a (fun k -> Value.compare k vlo >= 0) in
+  let start = lower_bound a (fun k -> String.compare k lo >= 0) in
   let stop =
     match hi with
     | None -> Array.length a
-    | Some h ->
-        let vh = Value.Str h in
-        lower_bound a (fun k -> Value.compare k vh >= 0)
+    | Some h -> lower_bound a (fun k -> String.compare k h >= 0)
   in
   union_slice a start stop
 
@@ -587,7 +415,6 @@ let best_candidate params = function
    shape actually runs (module-level handles survive registry resets). *)
 let path_scan = Obs.Counter.make Obs.default "plan.path.scan"
 let path_probe = Obs.Counter.make Obs.default "plan.path.probe"
-let path_range = Obs.Counter.make Obs.default "plan.path.range"
 let path_prefix = Obs.Counter.make Obs.default "plan.path.prefix"
 
 let plan_matching c params =
@@ -596,7 +423,6 @@ let plan_matching c params =
   (match c.cpath with
   | P_scan -> Obs.Counter.incr path_scan
   | P_probe _ -> Obs.Counter.incr path_probe
-  | P_range _ -> Obs.Counter.incr path_range
   | P_prefix _ -> Obs.Counter.incr path_prefix);
   let from_set set =
     Int_set.fold
@@ -619,38 +445,21 @@ let plan_matching c params =
       done;
       !acc
   | P_probe cands -> from_set (candidate_ids params (best_candidate params cands))
-  | P_range (ix, cmps) -> from_set (range_ids ix cmps params)
   | P_prefix (ix, lo, hi) -> from_set (prefix_ids ix lo hi)
 
 let plan_explain c =
   let colname ix = (Schema.columns c.ctable.schema).(ix.col).Schema.cname in
   let rec cand = function
     | C_slot (ix, _) -> Printf.sprintf "eq(%s)" (colname ix)
-    | C_key (ix, k) -> Printf.sprintf "key(%s=%S)" (colname ix) k
     | C_fold (ix, k) -> Printf.sprintf "fold(%s=%S)" (colname ix) k
     | C_union l -> "union(" ^ String.concat "|" (List.map cand l) ^ ")"
   in
   match c.cpath with
   | P_scan -> "scan"
   | P_probe cands -> "probe(" ^ String.concat "," (List.map cand cands) ^ ")"
-  | P_range (ix, _) -> Printf.sprintf "range(%s)" (colname ix)
   | P_prefix (ix, p, _) -> Printf.sprintf "prefix(%s,%S)" (colname ix) p
 
 let plan_table c = c.ctable
-
-let matching t pred =
-  let shape, params = Pred.split pred in
-  plan_matching (compile_shape t shape) params
-
-let select t pred =
-  List.map (fun (id, row) -> (id, Array.copy row)) (matching t pred)
-
-let select_one t pred =
-  match matching t pred with
-  | [ (id, row) ] -> Some (id, Array.copy row)
-  | _ -> None
-
-let count t pred = List.length (matching t pred)
 
 let apply_update t hits f =
   List.iter
@@ -677,16 +486,6 @@ let apply_update t hits f =
   if hits <> [] then touch t;
   List.length hits
 
-let update t pred f = apply_update t (matching t pred) f
-
-let set_fields t pred fields =
-  let positions =
-    List.map (fun (c, v) -> (Schema.index_of t.schema c, v)) fields
-  in
-  update t pred (fun row ->
-      List.iter (fun (i, v) -> row.(i) <- v) positions;
-      row)
-
 let apply_delete t hits =
   List.iter
     (fun (id, row) ->
@@ -701,8 +500,6 @@ let apply_delete t hits =
     t.stats.del_time <- t.clock ()
   end;
   List.length hits
-
-let delete t pred = apply_delete t (matching t pred)
 
 let get t id = Option.map Array.copy (row_of t id)
 let cardinal t = t.live
@@ -762,10 +559,7 @@ let clear t =
   List.iter
     (fun ix ->
       ix.version <- ix.version + 1;
-      Hashtbl.reset ix.buckets;
-      (* wholesale reset bypasses [bucket_remove]'s delta tracking *)
-      ix.dirty_overflow <- true;
-      Hashtbl.reset ix.dirty)
+      Hashtbl.reset ix.buckets)
     t.indexes;
   (* jump the sequence past a full ring so every outstanding cursor
      reads as overflowed: a wholesale clear has no per-row delta *)
@@ -774,8 +568,7 @@ let clear t =
 
 let field t row col = row.(Schema.index_of t.schema col)
 
-(* Executors over compiled plans, mirroring select/select_one/count/
-   exists/update/delete.  [Plan] builds its cache on these. *)
+(* Executors over compiled plans.  [Plan] builds its cache on these. *)
 
 let plan_select c params =
   List.map (fun (id, row) -> (id, Array.copy row)) (plan_matching c params)

@@ -1,5 +1,10 @@
 (** A mutable relation: rows, optional hash indexes, and modification
-    statistics (the paper's [tblstats] counters, section 6). *)
+    statistics (the paper's [tblstats] counters, section 6).
+
+    Rows are read and written by predicate through {!Plan}, which
+    compiles a {!Pred.shape} here once ({!compile_shape}) and runs it
+    with the [plan_*] executors below; this module itself offers only
+    access by rowid, whole-table walks and change tracking. *)
 
 type t
 
@@ -18,7 +23,7 @@ type stats = {
 
 val create : ?indexed : string list -> clock:(unit -> int) -> Schema.t -> t
 (** [create ~clock schema] makes an empty relation.  [indexed] columns get
-    hash indexes consulted by {!select} for top-level equality conjuncts.
+    hash indexes consulted by compiled plans (see {!compile_shape}).
     [clock] supplies the current time for the stats' [modtime].
 
     @raise Not_found if an [indexed] column is not in [schema]. *)
@@ -35,29 +40,6 @@ val uid : t -> int
 val insert : t -> Value.t array -> rowid
 (** Append a row (type-checked against the schema).
     @raise Invalid_argument on arity or type mismatch. *)
-
-val select : t -> Pred.t -> (rowid * Value.t array) list
-(** Matching rows, ordered by ascending [rowid] (i.e. insertion order) for
-    deterministic output.  Tuples are fresh copies: mutating them does not
-    affect the table. *)
-
-val select_one : t -> Pred.t -> (rowid * Value.t array) option
-(** [Some row] iff exactly one row matches; [None] if zero or several.
-    This implements the paper's pervasive "must match exactly one"
-    argument checking. *)
-
-val count : t -> Pred.t -> int
-(** Number of matching rows. *)
-
-val update : t -> Pred.t -> (Value.t array -> Value.t array) -> int
-(** Replace each matching row by [f row]; returns the number updated.
-    @raise Invalid_argument if [f] produces an ill-typed tuple. *)
-
-val set_fields : t -> Pred.t -> (string * Value.t) list -> int
-(** Convenience update overwriting the named fields of matching rows. *)
-
-val delete : t -> Pred.t -> int
-(** Remove matching rows; returns the number removed. *)
 
 val get : t -> rowid -> Value.t array option
 (** Fetch one row (a fresh copy) by id. *)
@@ -114,14 +96,23 @@ val field : t -> Value.t array -> string -> Value.t
 (** {2 Compiled plans}
 
     A {!Pred.shape} compiles against a table once — column names resolve
-    to offsets, an access path (bucket probe, union of buckets, ordered
-    range scan, prefix range, or full scan) is chosen from the shape —
-    and the compiled plan then serves every parameter vector.  Plans
-    stay valid for the table's whole lifetime: the index structures they
-    capture are updated in place by inserts/updates/deletes and
-    {!clear}, and the ordered/folded views they consult are rebuilt
-    lazily off the index version counters.  Most callers want the
-    caching front-end in {!Plan} rather than this raw interface. *)
+    to offsets, an access path is chosen from the shape — and the
+    compiled plan then serves every parameter vector.  The paths:
+    - bucket probe for an indexed [S_eq] conjunct, or a case-folded
+      bucket probe for a wildcard-free [S_glob_fold]; with several, the
+      smallest bucket at run time wins;
+    - union of buckets for an [S_or] whose every leaf is probeable;
+    - prefix range for an [S_glob] on an indexed string column whose
+      pattern starts with literal text: the keys in
+      [[prefix, successor)] of the column's sorted bucket keys;
+    - full scan otherwise.
+    Every path is a superset pre-filter: the whole predicate is still
+    evaluated on each candidate row.  Plans stay valid for the table's
+    whole lifetime: the index structures they capture are updated in
+    place by inserts/updates/deletes and {!clear}, and the sorted and
+    case-folded views they consult are rebuilt lazily when the index
+    version moves.  Callers use the caching front-end in {!Plan}, which
+    also documents the result contracts. *)
 
 type compiled
 (** A predicate shape compiled against one table. *)
@@ -132,27 +123,27 @@ val compile_shape : t -> Pred.shape -> compiled
     actually evaluated, matching {!Pred.eval}. *)
 
 val plan_select : compiled -> Value.t array -> (rowid * Value.t array) list
-(** As {!select}, on a compiled plan with its parameter vector. *)
+(** {!Plan.select}, on a compiled plan with its parameter vector. *)
 
 val plan_select_one : compiled -> Value.t array -> (rowid * Value.t array) option
-(** As {!select_one}. *)
+(** {!Plan.select_one}. *)
 
 val plan_count : compiled -> Value.t array -> int
-(** As {!count}. *)
+(** {!Plan.count}. *)
 
 val plan_exists : compiled -> Value.t array -> bool
 (** Whether any row matches. *)
 
 val plan_update : compiled -> Value.t array -> (Value.t array -> Value.t array) -> int
-(** As {!update}. *)
+(** {!Plan.update}. *)
 
 val plan_delete : compiled -> Value.t array -> int
-(** As {!delete}. *)
+(** {!Plan.delete}. *)
 
 val plan_explain : compiled -> string
 (** Access-path description for tests and diagnostics, e.g.
-    ["probe(eq(login))"], ["range(uid)"], ["prefix(login,\"jis\")"],
-    ["scan"]. *)
+    ["probe(eq(login))"], ["probe(fold(name=\"ab\"))"],
+    ["prefix(login,\"jis\")"], ["scan"]. *)
 
 val plan_table : compiled -> t
 (** The table the plan was compiled against. *)

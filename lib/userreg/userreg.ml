@@ -90,7 +90,7 @@ let authenticate t ~first ~last ~authenticator =
   let mdb = Moira.Glue.mdb t.glue in
   let users = Moira.Mdb.table mdb "users" in
   let candidates =
-    Table.select users
+    Plan.select users
       (Pred.conj [ Pred.eq_str "first" first; Pred.eq_str "last" last ])
   in
   let check (_, row) =

@@ -13,7 +13,7 @@ type t = {
   mailhub : Pop.Mailhub.t;
   userreg : Userreg.server;
   sanitizer : Dcm.Sanitizer.t option;
-      (* present when MOIRA_SANITIZE=1 or create ~sanitize:true *)
+      (* present when created with ~sanitize:true *)
   repl_primary : Relation.Replicate.primary option;
   replicas : (string * Moira.Mr_server.replica) list;
   lanes : (string * Obs.t) list;
@@ -83,7 +83,7 @@ let epoch_1988_ms = 568_000_000_000
 
 let replica_machine i = Printf.sprintf "MOIRA-REPLICA-%d.MIT.EDU" (i + 1)
 
-let create ?(spec = Population.small) ?backend ?access_cache ?(dcm_every_min = 15) ?retry ?sanitize ?(replicas = 0) ?(repl_poll_ms = 1_000) ?repl_retain () =
+let create ?(spec = Population.small) ?backend ?access_cache ?(dcm_every_min = 15) ?retry ?(sanitize = false) ?(replicas = 0) ?(repl_poll_ms = 1_000) ?repl_retain () =
   let engine =
     Sim.Engine.create ~seed:spec.Population.seed ~start:epoch_1988_ms ()
   in
@@ -194,8 +194,12 @@ let create ?(spec = Population.small) ?backend ?access_cache ?(dcm_every_min = 1
            (m, z))
   in
 
-  (* the server daemon's on-disk journal file (section 5.2.2): every
-     committed change is appended to /site/sms/journal and flushed *)
+  (* the server daemon's on-disk journal file (section 5.2.2).  The tee
+     is installed only now, after [Population.build] loaded the campus,
+     so the file holds just the changes committed since; and each commit
+     reads the whole file back and rewrites it with one more line (no
+     append primitive), O(journal) bytes per write.  With no dump taken
+     here either, the file alone cannot rebuild the database. *)
   let journal_path = "/site/sms/journal" in
   Relation.Journal.on_append (Moira.Mdb.journal mdb) (fun e ->
       let fs = Netsim.Host.fs moira_host in
@@ -288,12 +292,7 @@ let create ?(spec = Population.small) ?backend ?access_cache ?(dcm_every_min = 1
   (* opt-in lock-discipline sanitizer: monitor the lock manager and
      guard every managed host's durable directories *)
   let sanitizer =
-    let enabled =
-      match sanitize with
-      | Some b -> b
-      | None -> Dcm.Sanitizer.env_enabled ()
-    in
-    if not enabled then None
+    if not sanitize then None
     else begin
       let san =
         Dcm.Sanitizer.install ~obs:Obs.default (Moira.Mdb.locks mdb)

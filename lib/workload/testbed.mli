@@ -53,8 +53,7 @@ val create :
     backoff/quarantine policy (fault-injection tests shrink the
     thresholds).  [sanitize] installs the lock-discipline sanitizer
     ({!Dcm.Sanitizer}) on the lock manager and every managed host's
-    filesystem; it defaults to the [MOIRA_SANITIZE] environment
-    variable.
+    filesystem (default [false]).
 
     [replicas] (default 0) starts that many read-only replica servers
     on machines [MOIRA-REPLICA-<i>.MIT.EDU], each streaming the
@@ -132,8 +131,10 @@ val installed_state : t -> (string * (string * string) list) list
 
 val journal_file : t -> Relation.Journal.t option
 (** Parse the server daemon's on-disk journal file
-    ([/site/sms/journal] on the Moira host) — the recovery source when
-    the in-memory server state is gone. *)
+    ([/site/sms/journal] on the Moira host).  It holds the entries
+    committed after {!create} finished loading the population, not the
+    load itself, and no dump accompanies it: it is the changes since
+    boot, not enough on its own to rebuild the database. *)
 
 val read_mail :
   t -> ws:string -> login:string ->

@@ -49,7 +49,7 @@ let test_dump_restore () =
   let t2 = Db.add_table db2 schema in
   Backup.restore db2 dump;
   Alcotest.(check int) "rows restored" 2 (Table.cardinal t2);
-  match Table.select_one t2 (Pred.eq_str "name" "one:colon") with
+  match Plan.select_one t2 (Pred.eq_str "name" "one:colon") with
   | Some (_, r) -> Alcotest.(check int) "int field" 1 (Value.int r.(1))
   | None -> Alcotest.fail "row with colon lost"
 
@@ -60,7 +60,7 @@ let test_restore_clears_first () =
   Backup.restore db [ ("things", "fresh:1\n") ];
   Alcotest.(check int) "only restored rows" 1 (Table.cardinal t);
   Alcotest.(check int) "stale gone" 0
-    (Table.count t (Pred.eq_str "name" "stale"))
+    (Plan.count t (Pred.eq_str "name" "stale"))
 
 let test_restore_unknown_relation () =
   let db = Db.create ~clock:(fun () -> 0) in
@@ -214,7 +214,7 @@ let prop_random_table_dump_restore =
       let contents tbl =
         List.map
           (fun (_, r) -> (Value.str r.(0), Value.int r.(1)))
-          (Table.select tbl Pred.True)
+          (Plan.select tbl Pred.True)
       in
       contents t2 = rows && Backup.dump db2 = dump)
 

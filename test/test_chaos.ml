@@ -28,7 +28,7 @@ let shost_field tb ~service ~machine col =
     | None -> Alcotest.failf "no machine %s" machine
   in
   match
-    Table.select_one shosts
+    Plan.select_one shosts
       (Pred.conj
          [ Pred.eq_str "service" service; Pred.eq_int "mach_id" mach_id ])
   with
@@ -69,11 +69,11 @@ let test_recovery_sweep_clears_crash_leftovers () =
   let servers = Moira.Mdb.table mdb "servers" in
   let shosts = Moira.Mdb.table mdb "serverhosts" in
   ignore
-    (Table.set_fields servers
+    (Plan.set_fields servers
        (Pred.eq_str "name" "HESIOD")
        [ ("inprogress", Value.Bool true) ]);
   ignore
-    (Table.set_fields shosts
+    (Plan.set_fields shosts
        (Pred.eq_str "service" "HESIOD")
        [ ("inprogress", Value.Bool true) ]);
   let locks = Moira.Mdb.locks mdb in
@@ -93,9 +93,9 @@ let test_recovery_sweep_clears_crash_leftovers () =
     sweep.Dcm.Manager.locks_released;
   (* flags really are gone, and the locks are free for the next cycle *)
   Alcotest.(check bool) "no inprogress servers row" true
-    (Table.select servers (Pred.eq_bool "inprogress" true) = []);
+    (Plan.select servers (Pred.eq_bool "inprogress" true) = []);
   Alcotest.(check bool) "no inprogress serverhosts row" true
-    (Table.select shosts (Pred.eq_bool "inprogress" true) = []);
+    (Plan.select shosts (Pred.eq_bool "inprogress" true) = []);
   Alcotest.(check bool) "service lock free" true
     (Lock.acquire locks ~key:"service:HESIOD" ~owner:"probe" Lock.Exclusive);  (* lint: allow lock-protect -- probe asserts the lock is free; released on the next line *)
   Lock.release locks ~key:"service:HESIOD" ~owner:"probe";
@@ -242,7 +242,7 @@ let test_generator_exception_releases_lock () =
   Lock.release locks ~key:"service:HESIOD" ~owner:"probe";
   let servers = Moira.Mdb.table tb.Testbed.mdb "servers" in
   Alcotest.(check bool) "inprogress cleared" true
-    (Table.select servers (Pred.eq_bool "inprogress" true) = [])
+    (Plan.select servers (Pred.eq_bool "inprogress" true) = [])
 
 (* --- host-lock contention is recorded ------------------------------- *)
 

@@ -45,7 +45,7 @@ let test_misspelled_column () =
     q ~outputs:[ "login" ] (fun ctx _ ->
         let tbl = Mdb.table ctx.Query.mdb "users" in
         let project = Qlib.projector tbl [ "loginn" ] in
-        Ok (List.map (fun (_, row) -> project row) (Relation.Table.select tbl Relation.Pred.True)))
+        Ok (List.map (fun (_, row) -> project row) (Relation.Plan.select tbl Relation.Pred.True)))
   in
   Alcotest.(check (list string))
     "probe-raise" [ "probe-raise" ]

@@ -23,7 +23,7 @@ let finger_generator =
               (Value.str (Table.field users row "fullname"))
               (Value.str (Table.field users row "office_phone"))
             :: !lines)
-        (Table.select users (Pred.eq_int "status" 1));
+        (Plan.select users (Pred.eq_int "status" 1));
       {
         Dcm.Gen.common =
           [

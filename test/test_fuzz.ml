@@ -63,7 +63,7 @@ let fuzz_userreg () =
   done;
   (* nobody got registered by garbage *)
   let stubs =
-    Relation.Table.count
+    Relation.Plan.count
       (Moira.Mdb.table tb.Testbed.mdb "users")
       (Relation.Pred.eq_int "status" 0)
   in

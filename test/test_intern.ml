@@ -1,6 +1,6 @@
 (* The string intern pool: hash-consed row atoms, physical sharing that
    survives the recovery paths (backup restore, journal replay), and the
-   sorted-view delta merge the pool's compact rows pay for. *)
+   sorted view of an index's bucket keys that prefix globs read. *)
 
 open Relation
 
@@ -68,10 +68,10 @@ let test_update_interns_rows () =
   ignore (Table.insert t [| Value.Str "ann"; Value.Int 20; Value.Str "/bin/csh" |]);
   ignore (Table.insert t [| Value.Str "bob"; Value.Int 21; Value.Str "/bin/sh" |]);
   ignore
-    (Table.set_fields t (Pred.eq_str "name" "bob")
+    (Plan.set_fields t (Pred.eq_str "name" "bob")
        [ ("shell", Value.Str (copy_string "/bin/csh")) ]);
   let cell name =
-    match Table.select_one t (Pred.eq_str "name" name) with
+    match Plan.select_one t (Pred.eq_str "name" name) with
     | Some (_, row) -> row.(2)
     | None -> Alcotest.fail (name ^ " missing")
   in
@@ -93,8 +93,8 @@ let test_backup_restore_preserves_sharing () =
   Alcotest.(check int) "all rows restored" 10 (Backup.restore_table t2 dumped);
   Alcotest.(check string) "bytes roundtrip" dumped (Backup.dump_table t2);
   match
-    ( Table.select_one t2 (Pred.eq_str "name" "u0"),
-      Table.select_one t2 (Pred.eq_str "name" "u7") )
+    ( Plan.select_one t2 (Pred.eq_str "name" "u0"),
+      Plan.select_one t2 (Pred.eq_str "name" "u7") )
   with
   | Some (_, a), Some (_, b) ->
       Alcotest.(check bool) "restored rows share interned cells" true
@@ -131,72 +131,13 @@ let test_journal_replay_preserves_sharing () =
   Alcotest.(check bool) "and share with the pool's canonical copy" true
     ((List.hd (Journal.entries j2)).Journal.who == Intern.share "admin")
 
-(* --- the sorted-view delta merge --- *)
-
-let counter name = Option.value (Obs.find_counter Obs.default name) ~default:0
+(* --- the sorted view behind prefix globs --- *)
 
 (* reference: unindexed full evaluation *)
 let naive t p =
   List.rev
     (Table.fold t ~init:[] ~f:(fun acc id row ->
          if Pred.eval (Table.schema t) p row then (id, row) :: acc else acc))
-
-let age_window lo hi =
-  Pred.And (Pred.Ge ("age", Value.Int lo), Pred.Lt ("age", Value.Int hi))
-
-let test_sorted_merge_after_small_change () =
-  let t = fresh_table () in
-  for i = 0 to 199 do
-    ignore
-      (Table.insert t
-         [| Value.Str (Printf.sprintf "u%03d" i); Value.Int (i mod 50);
-            Value.Str "/bin/csh" |])
-  done;
-  let q = age_window 10 20 in
-  (* first range query builds the sorted view from scratch *)
-  Alcotest.(check bool) "initial range correct" true
-    (Plan.select t q = naive t q);
-  let merges0 = counter "table.sorted.merge" in
-  let rebuilds0 = counter "table.sorted.rebuild" in
-  (* touch a handful of keys: update, delete, insert *)
-  ignore
-    (Table.set_fields t (Pred.eq_str "name" "u007") [ ("age", Value.Int 11) ]);
-  ignore (Table.delete t (Pred.eq_str "name" "u013"));
-  ignore (Table.insert t [| Value.Str "zed"; Value.Int 15; Value.Str "/bin/sh" |]);
-  Alcotest.(check bool) "merged range correct" true
-    (Plan.select t q = naive t q);
-  Alcotest.(check bool) "took the merge path" true
-    (counter "table.sorted.merge" > merges0);
-  Alcotest.(check int) "no full rebuild" rebuilds0
-    (counter "table.sorted.rebuild");
-  (* and the merged view keeps answering correctly as changes continue *)
-  ignore (Table.delete t (Pred.eq_str "name" "zed"));
-  Alcotest.(check bool) "still correct after delete" true
-    (Plan.select t q = naive t q)
-
-let test_sorted_overflow_falls_back_to_rebuild () =
-  let t = fresh_table () in
-  for i = 0 to 99 do
-    ignore
-      (Table.insert t
-         [| Value.Str (Printf.sprintf "u%04d" i); Value.Int i;
-            Value.Str "/bin/csh" |])
-  done;
-  let q = age_window 0 5_000 in
-  ignore (Plan.select t q);
-  (* dirty more distinct keys than the tracker's cap: the next view must
-     rebuild (merge would need the discarded delta set) *)
-  for i = 100 to 4_400 do
-    ignore
-      (Table.insert t
-         [| Value.Str (Printf.sprintf "u%04d" i); Value.Int i;
-            Value.Str "/bin/csh" |])
-  done;
-  let rebuilds0 = counter "table.sorted.rebuild" in
-  Alcotest.(check bool) "overflowed range correct" true
-    (Plan.select t q = naive t q);
-  Alcotest.(check bool) "took the rebuild path" true
-    (counter "table.sorted.rebuild" > rebuilds0)
 
 let test_sorted_after_clear () =
   let t = fresh_table () in
@@ -206,22 +147,21 @@ let test_sorted_after_clear () =
          [| Value.Str (Printf.sprintf "u%02d" i); Value.Int i;
             Value.Str "/bin/csh" |])
   done;
-  let q = age_window 0 100 in
+  let q = Pred.Glob ("name", "u*") in
   Alcotest.(check int) "before clear" 50 (List.length (Plan.select t q));
   Table.clear t;
-  ignore (Table.insert t [| Value.Str "solo"; Value.Int 7; Value.Str "/bin/sh" |]);
-  (* clear discards delta tracking wholesale: the view must not resurrect
-     pre-clear rows via a stale merge *)
+  ignore (Table.insert t [| Value.Str "u-solo"; Value.Int 7; Value.Str "/bin/sh" |]);
+  (* the view built before the clear must not resurrect its rows *)
   match Plan.select t q with
   | [ (_, row) ] ->
-      Alcotest.(check string) "only the post-clear row" "solo"
+      Alcotest.(check string) "only the post-clear row" "u-solo"
         (Value.str row.(0))
   | l -> Alcotest.failf "expected 1 row after clear, got %d" (List.length l)
 
-let prop_sorted_merge_model =
-  (* random edit scripts over an indexed table: every range answer must
-     match naive evaluation no matter how merges and rebuilds interleave *)
-  QCheck.Test.make ~name:"sorted view: merge path matches naive eval"
+let prop_sorted_prefix_model =
+  (* random edit scripts over an indexed table: every prefix-glob answer
+     must match naive evaluation however the view is rebuilt *)
+  QCheck.Test.make ~name:"sorted view: prefix = naive eval"
     ~count:60
     QCheck.(
       list_of_size (Gen.int_range 1 40)
@@ -234,27 +174,35 @@ let prop_sorted_merge_model =
              [| Value.Str (Printf.sprintf "u%02d" i); Value.Int i;
                 Value.Str "/bin/csh" |])
       done;
-      let q = age_window 5 25 in
-      ignore (Plan.select t q);
-      List.for_all
-        (fun (op, who, age) ->
-          (match op with
-          | 0 ->
-              ignore
-                (Table.insert t
-                   [| Value.Str (Printf.sprintf "n%02d-%02d" who age);
-                      Value.Int age; Value.Str "/bin/sh" |])
-          | 1 ->
-              ignore
-                (Table.set_fields t
-                   (Pred.eq_str "name" (Printf.sprintf "u%02d" who))
-                   [ ("age", Value.Int age) ])
-          | _ ->
-              ignore
-                (Table.delete t
-                   (Pred.eq_str "name" (Printf.sprintf "u%02d" who))));
-          Plan.select t q = naive t q)
-        script)
+      let queries =
+        List.map
+          (fun pat -> Pred.Glob ("name", pat))
+          [ "u1*"; "n0*"; "n1?-*"; "u*"; "\xff*" ]
+      in
+      let agree () =
+        List.for_all (fun q -> Plan.select t q = naive t q) queries
+      in
+      agree ()
+      && List.for_all
+           (fun (op, who, age) ->
+             (match op with
+             | 0 ->
+                 ignore
+                   (Table.insert t
+                      [| Value.Str (Printf.sprintf "n%02d-%02d" who age);
+                         Value.Int age; Value.Str "/bin/sh" |])
+             | 1 ->
+                 (* renames move a row between prefix ranges *)
+                 ignore
+                   (Plan.set_fields t
+                      (Pred.eq_str "name" (Printf.sprintf "u%02d" who))
+                      [ ("name", Value.Str (Printf.sprintf "n%02d-%02d" who age)) ])
+             | _ ->
+                 ignore
+                   (Plan.delete t
+                      (Pred.eq_str "name" (Printf.sprintf "u%02d" who))));
+             agree ())
+           script)
 
 let suite =
   [
@@ -266,11 +214,7 @@ let suite =
       test_backup_restore_preserves_sharing;
     Alcotest.test_case "sharing survives journal replay" `Quick
       test_journal_replay_preserves_sharing;
-    Alcotest.test_case "sorted merge after small change" `Quick
-      test_sorted_merge_after_small_change;
-    Alcotest.test_case "sorted overflow rebuilds" `Quick
-      test_sorted_overflow_falls_back_to_rebuild;
     Alcotest.test_case "sorted view after clear" `Quick
       test_sorted_after_clear;
-    QCheck_alcotest.to_alcotest prop_sorted_merge_model;
+    QCheck_alcotest.to_alcotest prop_sorted_prefix_model;
   ]

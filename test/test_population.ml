@@ -102,7 +102,7 @@ let test_nfs_allocation_consistent () =
           (fun acc (_, q) ->
             acc + Value.int (Table.field nfsquota q "quota"))
           0
-          (Table.select nfsquota (Pred.eq_int "phys_id" phys_id))
+          (Plan.select nfsquota (Pred.eq_int "phys_id" phys_id))
       in
       Alcotest.(check int) "allocated = sum of quotas" total allocated;
       Alcotest.(check bool) "within capacity" true
@@ -119,7 +119,7 @@ let test_kerberos_principals_exist () =
 let test_unregistered_stubs () =
   let mdb, _, _, built = build () in
   let users = Moira.Mdb.table mdb "users" in
-  let stubs = Table.select users (Pred.eq_int "status" 0) in
+  let stubs = Plan.select users (Pred.eq_int "status" 0) in
   Alcotest.(check int) "stub count"
     built.Workload.Population.spec.Workload.Population.unregistered
     (List.length stubs);

@@ -103,8 +103,6 @@ let test_pred_eval () =
   Alcotest.(check bool) "eq int" true (ev (Pred.eq_int "age" 30));
   Alcotest.(check bool) "eq bool" true (ev (Pred.eq_bool "active" true));
   Alcotest.(check bool) "glob" true (ev (Pred.Glob ("name", "a*")));
-  Alcotest.(check bool) "lt" true (ev (Pred.Lt ("age", v_int 31)));
-  Alcotest.(check bool) "ge" true (ev (Pred.Ge ("age", v_int 30)));
   Alcotest.(check bool) "and" false
     (ev (Pred.And (Pred.eq_str "name" "ann", Pred.eq_int "age" 31)));
   Alcotest.(check bool) "or" true
@@ -121,14 +119,6 @@ let test_pred_name_match () =
       | _ -> Alcotest.fail "expected Eq for plain")
   | _ -> Alcotest.fail "expected Glob for pattern"
 
-let test_pred_indexable () =
-  let p =
-    Pred.And
-      (Pred.eq_str "name" "x", Pred.Or (Pred.eq_int "age" 1, Pred.True))
-  in
-  Alcotest.(check int) "one indexable eq" 1
-    (List.length (Pred.indexable_eqs p))
-
 (* --- Table --- *)
 
 let test_table_insert_select () =
@@ -137,8 +127,8 @@ let test_table_insert_select () =
   let _ = Table.insert t (row "bob" 40 false) in
   Alcotest.(check int) "cardinal" 2 (Table.cardinal t);
   Alcotest.(check int) "select all" 2
-    (List.length (Table.select t Pred.True));
-  let hits = Table.select t (Pred.eq_str "name" "ann") in
+    (List.length (Plan.select t Pred.True));
+  let hits = Plan.select t (Pred.eq_str "name" "ann") in
   Alcotest.(check int) "select one" 1 (List.length hits);
   (match hits with
   | [ (_, r) ] -> Alcotest.(check int) "age" 30 (Value.int r.(1))
@@ -149,45 +139,45 @@ let test_table_select_one () =
   let _ = Table.insert t (row "ann" 30 true) in
   let _ = Table.insert t (row "ann" 31 true) in
   Alcotest.(check bool) "ambiguous is None" true
-    (Table.select_one t (Pred.eq_str "name" "ann") = None);
+    (Plan.select_one t (Pred.eq_str "name" "ann") = None);
   Alcotest.(check bool) "missing is None" true
-    (Table.select_one t (Pred.eq_str "name" "zed") = None)
+    (Plan.select_one t (Pred.eq_str "name" "zed") = None)
 
 let test_table_update_delete () =
   let t, _ = fresh_table () in
   let _ = Table.insert t (row "ann" 30 true) in
   let _ = Table.insert t (row "bob" 40 false) in
   let n =
-    Table.set_fields t (Pred.eq_str "name" "ann") [ ("age", v_int 99) ]
+    Plan.set_fields t (Pred.eq_str "name" "ann") [ ("age", v_int 99) ]
   in
   Alcotest.(check int) "updated 1" 1 n;
-  (match Table.select_one t (Pred.eq_str "name" "ann") with
+  (match Plan.select_one t (Pred.eq_str "name" "ann") with
   | Some (_, r) -> Alcotest.(check int) "new age" 99 (Value.int r.(1))
   | None -> Alcotest.fail "gone");
-  let d = Table.delete t (Pred.eq_str "name" "bob") in
+  let d = Plan.delete t (Pred.eq_str "name" "bob") in
   Alcotest.(check int) "deleted 1" 1 d;
   Alcotest.(check int) "remaining" 1 (Table.cardinal t)
 
 let test_table_index_consistency_after_rename () =
   let t, _ = fresh_table () in
   let _ = Table.insert t (row "ann" 30 true) in
-  ignore (Table.set_fields t (Pred.eq_str "name" "ann") [ ("name", v_str "zoe") ]);
+  ignore (Plan.set_fields t (Pred.eq_str "name" "ann") [ ("name", v_str "zoe") ]);
   Alcotest.(check int) "old key gone" 0
-    (Table.count t (Pred.eq_str "name" "ann"));
+    (Plan.count t (Pred.eq_str "name" "ann"));
   Alcotest.(check int) "new key found" 1
-    (Table.count t (Pred.eq_str "name" "zoe"))
+    (Plan.count t (Pred.eq_str "name" "zoe"))
 
 let test_table_stats () =
   let t, clock = fresh_table () in
   let _ = Table.insert t (row "ann" 30 true) in
   clock := 200;
-  ignore (Table.set_fields t Pred.True [ ("age", v_int 1) ]);
+  ignore (Plan.set_fields t Pred.True [ ("age", v_int 1) ]);
   let s = Table.stats t in
   Alcotest.(check int) "appends" 1 s.Table.appends;
   Alcotest.(check int) "updates" 1 s.Table.updates;
   Alcotest.(check int) "modtime follows clock" 200 s.Table.modtime;
   clock := 300;
-  ignore (Table.delete t Pred.True);
+  ignore (Plan.delete t Pred.True);
   Alcotest.(check int) "del_time" 300 (Table.stats t).Table.del_time
 
 let test_table_col_upper_bound () =
@@ -197,9 +187,9 @@ let test_table_col_upper_bound () =
   ignore (Table.insert t (row "ann" 30 true));
   ignore (Table.insert t (row "bob" 41 true));
   Alcotest.(check int) "max of inserts" 41 (Table.col_upper_bound t "age");
-  ignore (Table.set_fields t (Pred.eq_str "name" "ann") [ ("age", v_int 99) ]);
+  ignore (Plan.set_fields t (Pred.eq_str "name" "ann") [ ("age", v_int 99) ]);
   Alcotest.(check int) "update raises it" 99 (Table.col_upper_bound t "age");
-  ignore (Table.delete t (Pred.eq_str "name" "ann"));
+  ignore (Plan.delete t (Pred.eq_str "name" "ann"));
   (* an upper bound, not a max: deletions never lower it *)
   Alcotest.(check int) "never lowered" 99 (Table.col_upper_bound t "age")
 
@@ -213,18 +203,18 @@ let test_table_changelog () =
   Alcotest.check delta "inserts" (Some [ r1; r2 ])
     (Table.changes_since t ~cursor:c0);
   let c1 = Table.change_cursor t in
-  ignore (Table.set_fields t (Pred.eq_str "name" "ann") [ ("age", v_int 31) ]);
-  ignore (Table.set_fields t (Pred.eq_str "name" "ann") [ ("age", v_int 32) ]);
+  ignore (Plan.set_fields t (Pred.eq_str "name" "ann") [ ("age", v_int 31) ]);
+  ignore (Plan.set_fields t (Pred.eq_str "name" "ann") [ ("age", v_int 32) ]);
   Alcotest.check delta "updates deduped" (Some [ r1 ])
     (Table.changes_since t ~cursor:c1);
   let c2 = Table.change_cursor t in
-  ignore (Table.delete t (Pred.eq_str "name" "bob"));
+  ignore (Plan.delete t (Pred.eq_str "name" "bob"));
   Alcotest.check delta "deletion appears" (Some [ r2 ])
     (Table.changes_since t ~cursor:c2);
   (* overflow the bounded log: the delta is unknown, a fresh cursor works *)
   let c3 = Table.change_cursor t in
   for i = 0 to 9000 do
-    ignore (Table.set_fields t (Pred.eq_str "name" "ann") [ ("age", v_int i) ])
+    ignore (Plan.set_fields t (Pred.eq_str "name" "ann") [ ("age", v_int i) ])
   done;
   Alcotest.check delta "wrapped log" None (Table.changes_since t ~cursor:c3);
   Alcotest.check delta "fresh cursor after wrap" (Some [])
@@ -238,10 +228,10 @@ let test_table_changelog () =
 let test_table_rows_are_copies () =
   let t, _ = fresh_table () in
   let _ = Table.insert t (row "ann" 30 true) in
-  (match Table.select t Pred.True with
+  (match Plan.select t Pred.True with
   | [ (_, r) ] -> r.(1) <- v_int 999
   | _ -> Alcotest.fail "select");
-  match Table.select t Pred.True with
+  match Plan.select t Pred.True with
   | [ (_, r) ] -> Alcotest.(check int) "unchanged" 30 (Value.int r.(1))
   | _ -> Alcotest.fail "select"
 
@@ -251,7 +241,7 @@ let test_table_insertion_order () =
     ignore (Table.insert t (row (Printf.sprintf "p%d" i) i true))
   done;
   let names =
-    List.map (fun (_, r) -> Value.str r.(0)) (Table.select t Pred.True)
+    List.map (fun (_, r) -> Value.str r.(0)) (Plan.select t Pred.True)
   in
   Alcotest.(check (list string))
     "rowid order"
@@ -320,8 +310,8 @@ let prop_table_count_matches_filter =
           ignore (Table.insert t (row (Printf.sprintf "p%d" i) age active)))
         rows;
       let p = Pred.eq_bool "active" true in
-      Table.count t p = List.length (Table.select t p)
-      && Table.count t p = List.length (List.filter snd rows))
+      Plan.count t p = List.length (Plan.select t p)
+      && Plan.count t p = List.length (List.filter snd rows))
 
 let suite =
   [
@@ -334,7 +324,6 @@ let suite =
     Alcotest.test_case "schema check_tuple" `Quick test_schema_check_tuple;
     Alcotest.test_case "pred eval" `Quick test_pred_eval;
     Alcotest.test_case "pred name_match" `Quick test_pred_name_match;
-    Alcotest.test_case "pred indexable" `Quick test_pred_indexable;
     Alcotest.test_case "table insert/select" `Quick test_table_insert_select;
     Alcotest.test_case "table select_one" `Quick test_table_select_one;
     Alcotest.test_case "table update/delete" `Quick test_table_update_delete;

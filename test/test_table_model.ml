@@ -14,23 +14,36 @@ let schema =
       { Schema.cname = "v"; ctype = Value.TInt };
     ]
 
+(* a naive reference glob matcher, independent of [Glob] *)
+let rec ref_glob p s pi si =
+  if pi = String.length p then si = String.length s
+  else
+    match p.[pi] with
+    | '*' ->
+        ref_glob p s (pi + 1) si
+        || (si < String.length s && ref_glob p s pi (si + 1))
+    | '?' -> si < String.length s && ref_glob p s (pi + 1) (si + 1)
+    | c -> si < String.length s && s.[si] = c && ref_glob p s (pi + 1) (si + 1)
+
+let ref_matches p s = ref_glob p s 0 0
+
 type op =
   | Insert of string * int
   | Set_v of string * int (* update v where k = key *)
   | Rename of string * string (* update k where k = old *)
   | Delete of string
-  | Delete_lt of int
+  | Delete_glob of string (* delete where k matches pattern *)
 
 let op_gen =
   let open QCheck.Gen in
-  let key = map (Printf.sprintf "k%d") (int_range 0 8) in
+  let key = map (Printf.sprintf "k%d") (int_range 0 12) in
   frequency
     [
       (4, map2 (fun k v -> Insert (k, v)) key (int_range 0 100));
       (2, map2 (fun k v -> Set_v (k, v)) key (int_range 0 100));
       (1, map2 (fun a b -> Rename (a, b)) key key);
       (2, map (fun k -> Delete k) key);
-      (1, map (fun v -> Delete_lt v) (int_range 0 100));
+      (1, map (fun p -> Delete_glob p) (oneofl [ "k1*"; "k1?"; "*2"; "k?" ]));
     ]
 
 let show_op = function
@@ -38,7 +51,7 @@ let show_op = function
   | Set_v (k, v) -> Printf.sprintf "Set_v(%s,%d)" k v
   | Rename (a, b) -> Printf.sprintf "Rename(%s,%s)" a b
   | Delete k -> Printf.sprintf "Delete(%s)" k
-  | Delete_lt v -> Printf.sprintf "Delete_lt(%d)" v
+  | Delete_glob p -> Printf.sprintf "Delete_glob(%s)" p
 
 (* the model: an assoc list in insertion order *)
 let model_apply model = function
@@ -48,22 +61,22 @@ let model_apply model = function
   | Rename (a, b) ->
       List.map (fun (k', v') -> if k' = a then (b, v') else (k', v')) model
   | Delete k -> List.filter (fun (k', _) -> k' <> k) model
-  | Delete_lt v -> List.filter (fun (_, v') -> v' >= v) model
+  | Delete_glob p -> List.filter (fun (k', _) -> not (ref_matches p k')) model
 
 let table_apply t = function
   | Insert (k, v) ->
       ignore (Table.insert t [| Value.Str k; Value.Int v |])
   | Set_v (k, v) ->
-      ignore (Table.set_fields t (Pred.eq_str "k" k) [ ("v", Value.Int v) ])
+      ignore (Plan.set_fields t (Pred.eq_str "k" k) [ ("v", Value.Int v) ])
   | Rename (a, b) ->
-      ignore (Table.set_fields t (Pred.eq_str "k" a) [ ("k", Value.Str b) ])
-  | Delete k -> ignore (Table.delete t (Pred.eq_str "k" k))
-  | Delete_lt v -> ignore (Table.delete t (Pred.Lt ("v", Value.Int v)))
+      ignore (Plan.set_fields t (Pred.eq_str "k" a) [ ("k", Value.Str b) ])
+  | Delete k -> ignore (Plan.delete t (Pred.eq_str "k" k))
+  | Delete_glob p -> ignore (Plan.delete t (Pred.Glob ("k", p)))
 
 let observe_table t =
   List.map
     (fun (_, row) -> (Value.str row.(0), Value.int row.(1)))
-    (Table.select t Pred.True)
+    (Plan.select t Pred.True)
 
 let agree ops ~indexed =
   let t = Table.create ~indexed ~clock:(fun () -> 0) schema in
@@ -80,12 +93,12 @@ let agree ops ~indexed =
   && List.for_all
        (fun k ->
          let key = Printf.sprintf "k%d" k in
-         Table.count t (Pred.eq_str "k" key)
+         Plan.count t (Pred.eq_str "k" key)
          = List.length (List.filter (fun (k', _) -> k' = key) model))
-       (List.init 10 Fun.id)
-  (* count by inequality agrees *)
-  && Table.count t (Pred.Ge ("v", Value.Int 50))
-     = List.length (List.filter (fun (_, v) -> v >= 50) model)
+       (List.init 13 Fun.id)
+  (* count by prefix glob (a sorted-view range when [k] is indexed) agrees *)
+  && Plan.count t (Pred.Glob ("k", "k1*"))
+     = List.length (List.filter (fun (k', _) -> ref_matches "k1*" k') model)
 
 let prop_indexed =
   QCheck.Test.make ~name:"table-vs-model (indexed)" ~count:300
@@ -107,17 +120,6 @@ let prop_unindexed_same_as_indexed =
       in
       run [ "k" ] = run [])
 
-(* glob vs a naive reference implementation *)
-let rec ref_glob p s pi si =
-  if pi = String.length p then si = String.length s
-  else
-    match p.[pi] with
-    | '*' ->
-        ref_glob p s (pi + 1) si
-        || (si < String.length s && ref_glob p s pi (si + 1))
-    | '?' -> si < String.length s && ref_glob p s (pi + 1) (si + 1)
-    | c -> si < String.length s && s.[si] = c && ref_glob p s (pi + 1) (si + 1)
-
 let small_alpha = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; '*'; '?' ]) (int_range 0 8))
 
 let prop_glob_matches_reference =
@@ -126,7 +128,7 @@ let prop_glob_matches_reference =
        ~print:(fun (p, s) -> Printf.sprintf "pattern=%S subject=%S" p s)
        QCheck.Gen.(pair small_alpha
                      (string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (int_range 0 10))))
-    (fun (p, s) -> Glob.matches ~pattern:p s = ref_glob p s 0 0)
+    (fun (p, s) -> Glob.matches ~pattern:p s = ref_matches p s)
 
 let suite =
   [
